@@ -129,17 +129,12 @@ def _run(args, out) -> int:
             return 2
         return 0
     if args.command == "table":
-        kind = args.kind
+        # each table takes one bound flag; the other two are ignored
+        bound = {"w-deg7": "max_d", "w-deg6t": "max_a"}.get(args.kind, "max_sum")
         kwargs = {"fmt": args.fmt, "store": store}
-        if kind == "gw-deg6":
-            kwargs["max_sum"] = args.max_sum if args.max_sum is not None else 12
-        elif kind == "w-deg6":
-            kwargs["max_sum"] = args.max_sum if args.max_sum is not None else 15
-        elif kind == "w-deg7":
-            kwargs["max_d"] = args.max_d if args.max_d is not None else 9
-        else:
-            kwargs["max_a"] = args.max_a if args.max_a is not None else 5
-        text, missing = TABLES[kind](**kwargs)
+        if getattr(args, bound) is not None:
+            kwargs[bound] = getattr(args, bound)
+        text, missing = TABLES[args.kind](**kwargs)
         out.write(text)
         return 2 if missing else 0
     if args.command == "ingest":
@@ -167,10 +162,7 @@ def main(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args, out)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PezzoError as exc:
+    except (_UsageError, PezzoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

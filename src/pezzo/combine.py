@@ -2,10 +2,11 @@
 
 The complex count of a threefold class is half the sum of (D.S)^2-weighted
 surface counts over the fiber of classes pushing onto it.  The real count
-replaces the weight by a signed |D.S| and Welschinger surface inputs; it is
-evaluated both through the per-family reduced forms (one representative per
-monodromy pair) and through a generic mode driven by ``sign_exponent``, and
-the two must agree.
+replaces the weight by a signed |D.S| and Welschinger surface inputs.  It is
+evaluated through per-family closed forms with one member per monodromy
+pair, which is the halved full-fiber sum.  The reference for those forms is
+``pezzo.signs.sign_exponent`` together with the full-fiber sum kept in the
+test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from typing import Optional
 from .errors import DataUnavailableError, DomainError, ParityError, WQueryError
 from .gw import gw_surface
 from .lattice import FAMILIES, ThreefoldFamily, constraint_count, fiber, pair
-from .signs import SIGN_DATA, sign_exponent
 from .store import InvariantKey, Store, default_store
-
-# surface space serving each family's Welschinger inputs
-_W_SPACE = {"deg8": "q", "deg7": "qx1", "deg6": "qx2", "deg6t": "qx2t"}
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def _member_key(family_id: str, member: tuple, pairs: int) -> InvariantKey:
     if family_id == "deg6t":
         a, _, alpha, beta = member
         return InvariantKey("W", "qx2t", (a, alpha, beta), pairs)
-    return InvariantKey("W", _W_SPACE[family_id], member, pairs)
+    return InvariantKey("W", FAMILIES[family_id].surface.id, member, pairs)
 
 
 def _fetch_w(store: Store, family_id: str, terms, pairs: int):
@@ -139,13 +136,10 @@ def _check_query(query: WelschingerQuery) -> tuple:
     return d
 
 
-def w_threefold(query: WelschingerQuery, store: Optional[Store] = None,
-                mode: str = "reduced") -> int:
+def w_threefold(query: WelschingerQuery, store: Optional[Store] = None) -> int:
     """Real signed count of the threefold class through k_d points with
     ``query.pairs`` conjugate pairs; 0 without data access when the parity or
     support predicate applies."""
-    if mode not in ("reduced", "generic"):
-        raise DomainError(f"unknown mode {mode!r}")
     family = FAMILIES[query.family_id]
     d = _check_query(query)
     if w_vanishes_a_priori(family, d):
@@ -154,20 +148,17 @@ def w_threefold(query: WelschingerQuery, store: Optional[Store] = None,
         store = default_store()
     if family.id == "deg6":
         d = tuple(sorted(d, reverse=True))
-    if mode == "generic":
-        return _w_generic(family, d, query.pairs, store)
     terms = _reduced_terms(family, d)
-    if terms is None:
-        return _w_generic(family, d, query.pairs, store)
     values = _fetch_w(store, family.id, terms, query.pairs)
     return sum(coeff * w for coeff, w in values)
 
 
-def _reduced_terms(family: ThreefoldFamily, d: tuple):
+def _reduced_terms(family: ThreefoldFamily, d: tuple) -> list:
     """(signed coefficient, member) per monodromy pair, per the closed forms.
 
-    Returns None for the degenerate classes (fibers of blow-up classes)
-    that the closed forms do not cover; the generic mode handles them.
+    ``d`` is past ``w_vanishes_a_priori`` (and sorted for deg6).  The only
+    such class with a = 0 is the twisted line class (0;1), whose fiber pair
+    is {(0,0;-1,0), (0,0;0,-1)}: alpha runs from s = -1 there.
     """
     fam = family.id
     if fam == "deg8":
@@ -181,35 +172,16 @@ def _reduced_terms(family: ThreefoldFamily, d: tuple):
                 for a in range((deg + 1) // 2)]
     if fam == "deg6":
         a, b, c = d
-        if a == 0:
-            return None
         s = a + b - c
         base = (s - 1) // 2
         return [((-1) ** (alpha + base) * (s - 2 * alpha), (a, b, alpha, s - alpha))
                 for alpha in range((s + 1) // 2)]
     a, c = d
-    if a == 0:
-        return None
     s = 2 * a - c
     base = (c + 1) // 2
-    return [((-1) ** (alpha + base) * (s - 2 * alpha), (a, a, alpha, s - alpha))
-            for alpha in range((s + 1) // 2)]
-
-
-def _w_generic(family: ThreefoldFamily, d: tuple, pairs: int, store: Store) -> int:
-    sign_data = SIGN_DATA[family.id]
-    terms = []
-    for member in fiber(family, d):
-        ds = _cycle_pairing(family, member)
-        if ds == 0:
-            continue
-        sign = -1 if sign_exponent(sign_data, member) else 1
-        terms.append((sign * abs(ds), member))
-    values = _fetch_w(store, family.id, terms, pairs)
-    total = sum(coeff * w for coeff, w in values)
-    if total % 2:
-        raise ParityError(f"real fiber sum for {family.id}{d} is odd: {total}")
-    return total // 2
+    # alpha may be -1 here; the exponent is reduced so the power stays an int
+    return [((-1) ** ((alpha + base) % 2) * (s - 2 * alpha), (a, a, alpha, s - alpha))
+            for alpha in range(min(s, 0), (s + 1) // 2)]
 
 
 def positivity_report(max_sum: int, store: Optional[Store] = None,

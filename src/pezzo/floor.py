@@ -22,7 +22,7 @@ import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .errors import DegeneratePolygonError, DomainError
@@ -239,7 +239,7 @@ def _marking_count(n_floors: int, items) -> int:
                             del rem[h]
                     else:
                         rem[h] = avail
-                    place(idx + 1, taken + take, chosen * _choose(avail, take), rem)
+                    place(idx + 1, taken + take, chosen * comb(avail, take), rem)
                 rem[h] = avail
 
             place(0, must, 1, dict(pool))
@@ -249,20 +249,10 @@ def _marking_count(n_floors: int, items) -> int:
     return total // denom
 
 
-def _choose(n, k):
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
-
-
 def _unit_step_orders(steps: Sequence[int]) -> Iterator[tuple]:
     """Distinct orderings of a multiset of 0/1 boundary steps."""
     n = len(steps)
     ones = sum(steps)
-    if any(s not in (0, 1) for s in steps):
-        # not expected for the supported polygons; fall back to brute force
-        yield from sorted(set(itertools.permutations(steps)))
-        return
     for pos in itertools.combinations(range(n), ones):
         out = [0] * n
         for p in pos:

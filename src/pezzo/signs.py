@@ -4,8 +4,12 @@ Three ingredients are combined per fiber member D: the reference-side bit
 ``epsilon`` (which of the two isotopy classes of real normal line subbundles
 D selects, pinned to 0 on a reference class L with L.S = -1), the genus
 parity, and a quasi-quadratic enhancement evaluated on the mod-2 reduction
-of D.  The per-family closed forms in ``sign_exponent`` are normative; the
-three-term pipeline is kept as a consistency check where it agrees.
+of D.  The per-family closed forms in ``sign_exponent`` are the reference
+sign of each fiber member; the three-term pipeline is kept as a consistency
+check where it agrees.  ``pezzo.combine`` does not call this module: its
+closed forms (one member per monodromy pair) are what runs, and they are
+checked against ``sign_exponent`` and the full-fiber sum in the test suite
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import ExplodingStore
 from golden import PLANE_W, TABLE2, TABLE3_COLUMNS, TABLE3_L0, TABLE4_L0
+from oracles import w_fiber_sum
 from pezzo.combine import (
     WelschingerQuery,
     gw_threefold,
@@ -254,7 +255,7 @@ def test_criterion_8_property_suites(store):
                 assert gw_threefold("deg6", perm) == want_gw
                 assert w_vanishes_a_priori("deg6", perm) == vanish
 
-        # generic mode equals reduced mode on every answerable table query
+        # the closed forms equal the full-fiber sum on every answerable table query
         queries = [("deg7", key, 0) for key in TABLE3_L0]
         queries += [("deg6", cls, 0) for cls in TABLE4_L0]
         queries += [("deg7", (2 * k + 1, k), l)
@@ -265,7 +266,7 @@ def test_criterion_8_property_suites(store):
                 reduced = w_threefold(query, store)
             except DataUnavailableError:
                 continue
-            assert w_threefold(query, store, mode="generic") == reduced
+            assert w_fiber_sum(query, store) == reduced
 
         # real counts sit under the complex counts with equal parity
         for surf, cls in (("p2", (4,)), ("q", (3, 3)), ("qx1", (2, 3, 2)),
@@ -309,14 +310,14 @@ def test_criterion_9_ingested_columns():
                 assert l <= 8
                 got = w_threefold(WelschingerQuery("deg7", (d, k), l), store)
                 assert got == want, ((d, k), l, got, want)
-        # user-ingested tables keep the observation identities and both
-        # evaluation modes in agreement
+        # user-ingested tables keep the observation identities, and the closed
+        # forms agree with the full-fiber sum
         _synthetic_l1_table(store)
         for d in (3, 5, 7):
             query0 = WelschingerQuery("deg7", (d, 0), 1)
             query1 = WelschingerQuery("deg7", (d, 1), 1)
             left = w_threefold(query0, store)
             assert left == -w_threefold(query1, store)
-            assert w_threefold(query0, store, mode="generic") == left
+            assert w_fiber_sum(query0, store) == left
             gw = gw_threefold("deg7", (d, 0))
             assert (left - gw) % 2 == 0 and abs(left) <= gw

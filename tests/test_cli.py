@@ -2,6 +2,7 @@ import io
 import os
 
 from pezzo.cli import main
+from pezzo.tables import gw_deg6_table
 
 
 def run(argv, env_cache=None, monkeypatch=None):
@@ -84,6 +85,22 @@ def test_table_deterministic_and_reingestable(tmp_path):
     assert "rejected" not in out
     rows = [line for line in csv_text.splitlines() if line.startswith("deg6-gw")]
     assert f"inserted {len(rows)} row(s)" in out
+
+
+def test_table_defaults_come_from_the_table_functions():
+    code, text = run(["table", "gw-deg6"])
+    assert (code, text) == (0, gw_deg6_table()[0])
+    # a bound flag the table does not take is ignored
+    assert run(["table", "gw-deg6", "--max-d", "3", "--max-a", "1"]) == (0, text)
+
+
+def test_ingest_missing_file(tmp_path, capsys):
+    missing = str(tmp_path / "no_such.csv")
+    code, text = run(["--cache-dir", str(tmp_path / "cache"), "ingest",
+                      "--surface", "p2", "--file", missing])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err and "Traceback" not in err
 
 
 def test_table_w_deg7_grid():
