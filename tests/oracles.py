@@ -7,18 +7,11 @@ halved.  ``pezzo.combine.w_threefold`` evaluates the same sum through closed
 forms with one member per monodromy pair; the two must agree.
 """
 
-from pezzo.combine import WelschingerQuery, w_vanishes_a_priori
+from pezzo.combine import WelschingerQuery, _member_key, w_vanishes_a_priori
 from pezzo.gw import gw_surface
 from pezzo.lattice import FAMILIES, fiber, pair
 from pezzo.signs import SIGN_DATA, sign_exponent
-from pezzo.store import InvariantKey, Store
-
-
-def _member_key(family_id: str, member: tuple, pairs: int) -> InvariantKey:
-    if family_id == "deg6t":
-        a, _, alpha, beta = member
-        return InvariantKey("W", "qx2t", (a, alpha, beta), pairs)
-    return InvariantKey("W", FAMILIES[family_id].surface.id, member, pairs)
+from pezzo.store import Store
 
 
 def w_fiber_sum(query: WelschingerQuery, store: Store) -> int:

@@ -170,14 +170,15 @@ def test_generic_equals_reduced(tmp_path):
     queries += [("deg6", cls, 0) for cls in TABLE4_L0]
     queries += [("deg7", (2 * k + 1, k), l)
                 for k in range(5) for l in range(((2 * k + 1) * 2 - k - 1) // 2 + 1)]
+    # k_d = 2a + c for deg6t; stay within the allowed pair counts
     queries += [("deg6t", (a, c), l) for a in range(4) for c in range(1, 2 * a + 2, 2)
-                for l in range(3)]
+                for l in range(min(3, (2 * a + c - 1) // 2 + 1))]
     answered = set()
     for fam, cls, l in queries:
         query = WelschingerQuery(fam, cls, l)
         try:
             reduced = w_threefold(query, store)
-        except (DataUnavailableError, WQueryError):
+        except DataUnavailableError:
             continue
         assert w_fiber_sum(query, store) == reduced, (fam, cls, l)
         answered.add((fam, cls, l))
