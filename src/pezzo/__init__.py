@@ -60,7 +60,7 @@ from .signs import (
     rho,
     sign_exponent,
 )
-from .store import IngestReport, InvariantKey, Store, default_store
+from .store import IngestReport, InvariantKey, Store, clear_cache, default_store
 
 __version__ = "1.0.0"
 
@@ -73,7 +73,7 @@ __all__ = [
     "fd_count_complex", "fd_count_real_l0",
     "QuasiQuadraticEnhancement", "FamilySignData", "SIGN_DATA",
     "epsilon", "qqe_eval", "rho", "sign_exponent",
-    "InvariantKey", "Store", "IngestReport", "default_store",
+    "InvariantKey", "Store", "IngestReport", "default_store", "clear_cache",
     "WelschingerQuery", "gw_threefold", "w_threefold",
     "gw_vanishes_a_priori", "w_vanishes_a_priori", "positivity_report",
     "PezzoError", "RankMismatchError", "ParityError", "UnsupportedLatticeError",

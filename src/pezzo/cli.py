@@ -14,7 +14,7 @@ from .combine import WelschingerQuery, gw_threefold, w_threefold
 from .errors import DataUnavailableError, PezzoError
 from .gw import gw_surface
 from .lattice import FAMILIES, SURFACES
-from .store import Store, InvariantKey, space_rank
+from .store import Store, InvariantKey, clear_cache, space_rank
 from .tables import TABLES
 
 
@@ -92,6 +92,10 @@ def _dump_diagrams(surface: str, cls: tuple, out) -> None:
 
 
 def _run(args, out) -> int:
+    if args.command == "cache" and args.action == "clear":
+        # before any Store: loading a damaged cache must not block clearing it
+        print(f"removed {clear_cache(args.cache_dir)} cache file(s)", file=out)
+        return 0
     store = Store(cache_dir=args.cache_dir)
     if args.command == "gw3":
         print(gw_threefold(args.family, _parse_class(args.cls)), file=out)
@@ -145,13 +149,9 @@ def _run(args, out) -> int:
             print(f"rejected line {lineno}: {reason}", file=sys.stderr)
         return 0
     if args.command == "cache":
-        if args.action == "clear":
-            removed = store.clear_cache()
-            print(f"removed {removed} cache file(s)", file=out)
-        else:
-            print(f"cache dir: {store.cache_dir or '(memory only)'}", file=out)
-            for space, count in sorted(store.spaces().items()):
-                print(f"{space}: {count} entries", file=out)
+        print(f"cache dir: {store.cache_dir or '(memory only)'}", file=out)
+        for space, count in sorted(store.spaces().items()):
+            print(f"{space}: {count} entries", file=out)
         return 0
     raise _UsageError(f"unknown command {args.command!r}")
 

@@ -13,11 +13,15 @@ elevators compatible with vertical position; a diagram contributes its
 marking count times a per-edge multiplicity: w(e)^2 for the complex count.
 For totally real configurations the multiplicity is 0 on any even weight and
 +1 otherwise (the two endpoint signs of a bounded elevator cancel); this
-convention is pinned by the plane values 8, 240, 18264 in the tests.
+convention is pinned by the plane values 8, 240, 18264 in the tests.  So the
+real count enumerates odd elevator weights only and never builds a diagram
+with an even weight; the complex count and ``--dump-diagrams`` still go
+through every diagram.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from collections import defaultdict
@@ -151,8 +155,9 @@ def _spanning_trees(n: int) -> Iterator[tuple]:
             yield _prufer_tree(code, n)
 
 
-def _weightings(tree, divs, d_b, d_t) -> Iterator[tuple]:
-    """Assign edge weights; yield (weights, t) with t_j = dn_j - up_j required."""
+def _weightings(tree, divs, d_b, d_t, step) -> Iterator[tuple]:
+    """Assign edge weights 1, 1 + step, ...; yield (weights, t) with
+    t_j = dn_j - up_j required."""
     n = len(divs)
     below = defaultdict(list)   # upper floor -> edge indices
     above = defaultdict(list)   # lower floor -> edge indices
@@ -180,7 +185,7 @@ def _weightings(tree, divs, d_b, d_t) -> Iterator[tuple]:
                 if nd <= d_b and nu <= d_t:
                     yield from walk(floor - 1, nd, nu)
                 return
-            for w in range(1, wmax + 1):
+            for w in range(1, wmax + 1, step):
                 weights[todo[pos]] = w
                 yield from assign(pos + 1)
 
@@ -276,14 +281,18 @@ def _divergence_patterns(pc: PolygonClass):
     return sorted(patterns.items())
 
 
-def enumerate_diagrams(pc: PolygonClass) -> Iterator[FloorDiagram]:
-    """All connected genus-0 marked floor diagrams of the polygon."""
+def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDiagram]:
+    """All connected genus-0 marked floor diagrams of the polygon.
+
+    With ``real=True`` only the diagrams whose bounded elevators all have odd
+    weight, the ones with nonzero real multiplicity, in the same order.
+    """
     n = pc.height
     if n == 0:
         raise DegeneratePolygonError(f"{pc.surface_id}{pc.class_vec}: zero height")
     for divs, deco in _divergence_patterns(pc):
         for tree in _spanning_trees(n):
-            for weights, t in _weightings(tree, divs, pc.d_b, pc.d_t):
+            for weights, t in _weightings(tree, divs, pc.d_b, pc.d_t, 2 if real else 1):
                 need_dn = sum(max(v, 0) for v in t)
                 need_up = sum(max(-v, 0) for v in t)
                 slack = pc.d_b - need_dn
@@ -301,28 +310,15 @@ def enumerate_diagrams(pc: PolygonClass) -> Iterator[FloorDiagram]:
                         yield FloorDiagram(n, divs, edges, down, up, nu, deco)
 
 
-_COUNTS_MEMO: dict = {}
-
-
-def _fd_counts(pc: PolygonClass) -> tuple:
-    key = (pc.surface_id, pc.class_vec)
-    known = _COUNTS_MEMO.get(key)
-    if known is not None:
-        return known
-    cplx = 0
-    real = 0
-    for diag in enumerate_diagrams(pc):
-        cplx += diag.decorations * diag.markings * diag.complex_multiplicity()
-        real += diag.decorations * diag.markings * diag.real_multiplicity()
-    _COUNTS_MEMO[key] = (cplx, real)
-    return cplx, real
-
-
+@functools.cache
 def fd_count_complex(pc: PolygonClass) -> int:
     """Sum of w^2-weighted marked diagrams; equals the surface count."""
-    return _fd_counts(pc)[0]
+    return sum(d.decorations * d.markings * d.complex_multiplicity()
+               for d in enumerate_diagrams(pc))
 
 
+@functools.cache
 def fd_count_real_l0(pc: PolygonClass) -> int:
     """Signed diagram count for a totally real point configuration."""
-    return _fd_counts(pc)[1]
+    return sum(d.decorations * d.markings * d.real_multiplicity()
+               for d in enumerate_diagrams(pc, real=True))

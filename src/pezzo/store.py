@@ -13,6 +13,7 @@ with exactly rank+3 comma-separated fields; ``#`` lines are comments; UTF-8.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -143,9 +144,7 @@ class Store:
     """Content-addressed invariant map with optional on-disk persistence."""
 
     def __init__(self, cache_dir: Optional[str] = None, load_fixtures: bool = True):
-        if cache_dir is None:
-            cache_dir = os.environ.get(CACHE_ENV) or None
-        self.cache_dir = cache_dir
+        self.cache_dir = _resolve_cache_dir(cache_dir)
         self._data: dict = {}
         self._lock = threading.RLock()
         if self.cache_dir:
@@ -160,24 +159,36 @@ class Store:
         return os.path.join(self.cache_dir, f"{space}.store")
 
     def _load_cache(self):
+        """Read every ``<space>.store`` file.  A last line with no newline is
+        an append cut short (``_persist`` writes whole lines): it is dropped
+        from the file with a warning.  Any other bad row raises CacheError."""
         for name in sorted(os.listdir(self.cache_dir)):
             if not name.endswith(".store"):
                 continue
             space = name[: -len(".store")]
-            with open(os.path.join(self.cache_dir, name), encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.strip()
+            path = os.path.join(self.cache_dir, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            *rows, tail = data.split(b"\n")
+            if tail:
+                print(f"warning: {path}:{len(rows) + 1}: dropping torn last line "
+                      f"{tail!r}", file=sys.stderr)
+                os.truncate(path, len(data) - len(tail))
+            for lineno, raw in enumerate(rows, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
                     if not line or line.startswith("#"):
                         continue
                     parts = line.split(",")
-                    kind = parts[0]
                     cls = tuple(int(x) for x in parts[1:-2])
-                    key = InvariantKey(kind, space, cls, int(parts[-2])).canonical()
+                    key = InvariantKey(parts[0], space, cls, int(parts[-2])).canonical()
                     value = int(parts[-1])
-                    old = self._data.get(key)
-                    if old is not None and old != value:
-                        raise CacheError(f"{key}: cached {old} vs {value}")
-                    self._data[key] = value
+                except (ValueError, IndexError) as exc:
+                    raise CacheError(f"{path}:{lineno}: bad row {raw!r}: {exc}") from None
+                old = self._data.get(key)
+                if old is not None and old != value:
+                    raise CacheError(f"{path}:{lineno}: {key}: cached {old} vs {value}")
+                self._data[key] = value
 
     def _persist(self, key: InvariantKey, value: int):
         if not self.cache_dir:
@@ -261,8 +272,15 @@ class Store:
         space = _GW_ALIAS.get(space_id, space_id)
         rank = space_rank(space)
         report = IngestReport()
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise CsvParseError(
+                lineno, f"not UTF-8: {exc.reason} (byte {data[exc.start]:#04x})"
+            ) from None
         header = None
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
@@ -326,17 +344,25 @@ class Store:
             return f"parity of {value} conflicts with complex count {total}"
         return None
 
-    # -- cache control ----------------------------------------------------------
 
-    def clear_cache(self) -> int:
-        """Delete the persistent files; in-memory values are kept."""
-        removed = 0
-        if self.cache_dir and os.path.isdir(self.cache_dir):
-            for name in sorted(os.listdir(self.cache_dir)):
-                if name.endswith(".store"):
-                    os.remove(os.path.join(self.cache_dir, name))
-                    removed += 1
-        return removed
+def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_ENV) or None
+    return cache_dir
+
+
+def clear_cache(cache_dir: Optional[str] = None) -> int:
+    """Delete the persistent files of a cache directory (default: the
+    ``PEZZO_CACHE_DIR`` one) without reading them, so a damaged cache can
+    always be cleared."""
+    cache_dir = _resolve_cache_dir(cache_dir)
+    removed = 0
+    if cache_dir and os.path.isdir(cache_dir):
+        for name in sorted(os.listdir(cache_dir)):
+            if name.endswith(".store"):
+                os.remove(os.path.join(cache_dir, name))
+                removed += 1
+    return removed
 
 
 _DEFAULT: Optional[Store] = None

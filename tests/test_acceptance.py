@@ -108,7 +108,7 @@ def test_criterion_3_w_deg7_totally_real():
 
 
 def test_criterion_4_w_deg6_totally_real():
-    with criterion(4, "totally real row of the standard product family", 900):
+    with criterion(4, "totally real row of the standard product family", 120):
         store = Store(cache_dir=None)
         for cls, want in TABLE4_L0.items():
             got = w_threefold(WelschingerQuery("deg6", cls, 0), store)

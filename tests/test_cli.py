@@ -103,6 +103,43 @@ def test_ingest_missing_file(tmp_path, capsys):
     assert err.startswith("error: ") and missing in err and "Traceback" not in err
 
 
+def test_ingest_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"space,c1,l,value\np2,\xff3,0,8\n")
+    code, text = run(["--cache-dir", str(tmp_path / "cache"), "ingest",
+                      "--surface", "p2", "--file", str(path)])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: not UTF-8") and "Traceback" not in err
+
+
+def test_torn_cache_does_not_brick_the_cli(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "q.store").write_bytes(b"W,2,2,0,8\nW,1,")
+    code, text = run(["--cache-dir", str(cache), "w2", "--surface", "q",
+                      "--class", "1,2", "--pairs", "0"])
+    assert (code, text) == (0, "1\n")
+    assert "warning: " in capsys.readouterr().err
+    assert (cache / "q.store").read_bytes() == b"W,2,2,0,8\nW,1,2,0,1\n"
+    code, _ = run(["--cache-dir", str(cache), "cache", "info"])
+    assert code == 0 and capsys.readouterr().err == ""
+
+
+def test_cache_clear_skips_loading(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "p2.store").write_bytes(b"W,1,\nW,3,0,8\n")
+    code, text = run(["--cache-dir", str(cache), "cache", "info"])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cache / 'p2.store'}:1: ") and "Traceback" not in err
+    code, text = run(["--cache-dir", str(cache), "cache", "clear"])
+    assert (code, text) == (0, "removed 1 cache file(s)\n")
+    assert os.listdir(cache) == []
+    assert run(["--cache-dir", str(cache), "cache", "info"])[0] == 0
+
+
 def test_table_w_deg7_grid():
     code, text = run(["table", "w-deg7", "--max-d", "3"])
     assert code == 2  # rows with pairs need data beyond the fixture

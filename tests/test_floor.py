@@ -102,6 +102,48 @@ def test_monodromy_swaps_cuts():
                     assert fd_count_real_l0(one) == fd_count_real_l0(two)
 
 
+def _oracle_sweep():
+    """p2 up to degree 5 and every q/qx1/qx2 class with at most 11 point
+    constraints that has a Newton polygon."""
+    classes = [("p2", (d,)) for d in range(1, 6)]
+    classes += [("q", (a, b)) for a in range(7) for b in range(7)
+                if 0 < 2 * (a + b) - 1 <= 12]
+    classes += [("qx1", (a, b, k)) for a in range(7) for b in range(7)
+                for k in range(min(a, b) + 1)]
+    classes += [("qx2", (a, b, al, be)) for a in range(7) for b in range(7)
+                for al in range(min(a, b) + 1) for be in range(min(a, b) + 1)]
+    for surface, cls in classes:
+        if constraint_count(SURFACES[surface], cls) > 11:
+            continue
+        try:
+            yield polygon_of(surface, cls)
+        except DegeneratePolygonError:
+            continue
+
+
+def test_real_count_equals_full_enumeration_oracle():
+    # the odd-only real count against the real multiplicity summed over
+    # every diagram, even weights included
+    checked = 0
+    for pc in _oracle_sweep():
+        full = sum(diag.decorations * diag.markings * diag.real_multiplicity()
+                   for diag in enumerate_diagrams(pc))
+        assert fd_count_real_l0(pc) == full, (pc.surface_id, pc.class_vec)
+        checked += 1
+    assert checked > 250
+
+
+def test_real_enumeration_is_the_odd_weight_subset():
+    for surface, cls in (("p2", (4,)), ("q", (2, 3)), ("qx1", (2, 3, 1)),
+                         ("qx2", (3, 3, 1, 2))):
+        pc = polygon_of(surface, cls)
+        full = list(enumerate_diagrams(pc))
+        odd = [diag.dump_line() for diag in full
+               if all(w % 2 for _, _, w in diag.edges)]
+        assert len(odd) < len(full), cls  # some diagram has an even weight
+        assert [diag.dump_line() for diag in enumerate_diagrams(pc, real=True)] == odd
+
+
 def test_real_parity_and_bound():
     classes = [("p2", (d,)) for d in range(1, 5)]
     classes += [("q", (a, b)) for a in range(1, 4) for b in range(1, 4)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pezzo.errors import CsvParseError, DataUnavailableError, DomainError
+from pezzo.errors import CacheError, CsvParseError, DataUnavailableError, DomainError
 from pezzo.gw import gw_surface
 from pezzo.lattice import SURFACES, monodromy
 from pezzo.store import InvariantKey, Store
@@ -146,6 +146,47 @@ def test_ingest_parse_errors(tmp_path, bare_store):
     path = _write(tmp_path / "bad3.csv", "space,c1,l,value\np2,x,0,1\n")
     with pytest.raises(CsvParseError):
         bare_store.ingest_csv(path, "p2")
+
+
+def test_ingest_non_utf8_reports_line(tmp_path, bare_store):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"space,c1,l,value\np2,3,0,8\np2,\xff4,0,1\n")
+    with pytest.raises(CsvParseError) as err:
+        bare_store.ingest_csv(str(path), "p2")
+    assert err.value.lineno == 3 and "0xff" in str(err.value)
+
+
+def test_cache_torn_last_line_dropped(tmp_path, capsys):
+    # an append cut short: the whole rows load, the torn tail leaves the file
+    path = tmp_path / "p2.store"
+    path.write_bytes(b"W,3,0,8\nW,1,")
+    store = Store(cache_dir=str(tmp_path), load_fixtures=False)
+    assert store.lookup(InvariantKey("W", "p2", (3,), 0)) == 8
+    err = capsys.readouterr().err
+    assert err.startswith(f"warning: {path}:2: ") and "W,1," in err
+    assert path.read_bytes() == b"W,3,0,8\n"
+    # later appends start on a line of their own
+    assert store.get_or_compute(InvariantKey("W", "p2", (4,), 0)) == 240
+    again = Store(cache_dir=str(tmp_path), load_fixtures=False)
+    assert again.lookup(InvariantKey("W", "p2", (4,), 0)) == 240
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("body, lineno", [
+    (b"W,1,\nW,3,0,8\n", 1),             # torn row that is not the last line
+    (b"W,3,0,8\nW\n", 2),                 # too few fields
+    (b"W,3,0,8\nW,3,x,8\n", 2),           # not an integer
+    (b"W,3,1,0,8\n", 1),                  # class of the wrong rank
+    (b"# note\nW,\xff,0,8\n", 2),         # not UTF-8
+    (b"W,3,0,8\nW,3,0,9\n", 2),           # conflicting duplicate
+])
+def test_cache_bad_row_names_file_and_line(tmp_path, body, lineno):
+    path = tmp_path / "p2.store"
+    path.write_bytes(body)
+    with pytest.raises(CacheError) as err:
+        Store(cache_dir=str(tmp_path), load_fixtures=False)
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
+    assert path.read_bytes() == body
 
 
 def test_ingest_space_mismatch_rejected(tmp_path, bare_store):
