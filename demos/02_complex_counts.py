@@ -7,15 +7,14 @@ from pezzo import (
     enumerate_diagrams,
     fd_count_complex,
     gw_blowup_p2,
-    gw_p2,
     gw_surface,
     gw_threefold,
     polygon_of,
 )
 from pezzo.tables import gw_deg6_table
 
-# The plane recursion alone already produces the classical sequence.
-print("plane counts:", [gw_p2(d) for d in range(1, 7)])
+# The lattice recursion on the plane produces the classical sequence.
+print("plane counts:", [gw_surface("p2", (d,)) for d in range(1, 7)])
 
 # The lattice recursion handles up to three blow-up points; unit
 # multiplicities absorb into point constraints and oversized ones kill the

@@ -4,11 +4,9 @@ Run as `python demos/03_real_counts.py`.
 """
 
 from pezzo import (
-    SIGN_DATA,
     InvariantKey,
     Store,
     WelschingerQuery,
-    epsilon,
     fd_count_real_l0,
     polygon_of,
     positivity_report,
@@ -23,11 +21,12 @@ from pezzo.tables import w_deg7_table
 # classical 8, 240, 18264.
 print("plane totally real:", [fd_count_real_l0(polygon_of("p2", (d,))) for d in (3, 4, 5)])
 
-# Real fiber sums attach a sign to each member.  The reference-side bit
-# flips under monodromy, and the per-family closed forms drive the sums.
-data = SIGN_DATA["deg8"]
-print("epsilon(2,1) =", epsilon(data, (2, 1)), "| epsilon(1,2) =", epsilon(data, (1, 2)))
-print("sign exponent of (0,5;2):", sign_exponent(SIGN_DATA["deg7"], (0, 5, 2)))
+# Real fiber sums attach a sign to each member with odd D.S; a member and
+# its monodromy twin carry the same sign, and the per-family closed forms
+# sum one member per pair.
+print("sign exponent of (0,5;2):", sign_exponent("deg7", (0, 5, 2)))
+print("sign exponents of (2,1) and (1,2):",
+      sign_exponent("deg8", (2, 1)), sign_exponent("deg8", (1, 2)))
 
 # Parity alone forces many counts to vanish before any data is touched.
 print("W(deg8, d=4) vanishes a priori:", w_vanishes_a_priori("deg8", (4,)))

@@ -24,7 +24,6 @@ from .errors import (
     ParityError,
     PezzoError,
     RankMismatchError,
-    UndefinedSignError,
     UnsupportedLatticeError,
     WQueryError,
 )
@@ -36,7 +35,7 @@ from .floor import (
     fd_count_real_l0,
     polygon_of,
 )
-from .gw import gw_blowup_p2, gw_p2, gw_surface
+from .gw import gw_blowup_p2, gw_surface
 from .lattice import (
     FAMILIES,
     SURFACES,
@@ -51,15 +50,7 @@ from .lattice import (
     quadric_to_plane,
     singular_fiber_count,
 )
-from .signs import (
-    SIGN_DATA,
-    FamilySignData,
-    QuasiQuadraticEnhancement,
-    epsilon,
-    qqe_eval,
-    rho,
-    sign_exponent,
-)
+from .signs import sign_exponent
 from .store import IngestReport, InvariantKey, Store, clear_cache, default_store
 
 __version__ = "1.0.0"
@@ -68,16 +59,14 @@ __all__ = [
     "FAMILIES", "SURFACES", "SurfaceLattice", "ThreefoldFamily",
     "pair", "constraint_count", "genus", "monodromy", "push_forward",
     "fiber", "quadric_to_plane", "singular_fiber_count",
-    "gw_p2", "gw_blowup_p2", "gw_surface",
+    "gw_blowup_p2", "gw_surface",
     "PolygonClass", "FloorDiagram", "polygon_of", "enumerate_diagrams",
     "fd_count_complex", "fd_count_real_l0",
-    "QuasiQuadraticEnhancement", "FamilySignData", "SIGN_DATA",
-    "epsilon", "qqe_eval", "rho", "sign_exponent",
+    "sign_exponent",
     "InvariantKey", "Store", "IngestReport", "default_store", "clear_cache",
     "WelschingerQuery", "gw_threefold", "w_threefold",
     "gw_vanishes_a_priori", "w_vanishes_a_priori", "positivity_report",
     "PezzoError", "RankMismatchError", "ParityError", "UnsupportedLatticeError",
-    "DomainError", "DegeneratePolygonError", "UndefinedSignError",
-    "EvenPairingError", "WQueryError", "DataUnavailableError", "CsvParseError",
-    "CacheError",
+    "DomainError", "DegeneratePolygonError", "EvenPairingError",
+    "WQueryError", "DataUnavailableError", "CsvParseError", "CacheError",
 ]

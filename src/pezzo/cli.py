@@ -92,9 +92,16 @@ def _dump_diagrams(surface: str, cls: tuple, out) -> None:
 
 
 def _run(args, out) -> int:
-    if args.command == "cache" and args.action == "clear":
-        # before any Store: loading a damaged cache must not block clearing it
-        print(f"removed {clear_cache(args.cache_dir)} cache file(s)", file=out)
+    if args.command == "cache":
+        if args.action == "clear":
+            # before any Store: loading a damaged cache must not block clearing it
+            print(f"removed {clear_cache(args.cache_dir)} cache file(s)", file=out)
+            return 0
+        # count only what the cache files hold, not the bundled fixtures
+        store = Store(cache_dir=args.cache_dir, load_fixtures=False)
+        print(f"cache dir: {store.cache_dir or '(memory only)'}", file=out)
+        for space, count in sorted(store.spaces().items()):
+            print(f"{space}: {count} entries", file=out)
         return 0
     store = Store(cache_dir=args.cache_dir)
     if args.command == "gw3":
@@ -147,11 +154,6 @@ def _run(args, out) -> int:
         print(f"inserted {report.inserted} row(s)", file=out)
         for lineno, reason in report.rejected:
             print(f"rejected line {lineno}: {reason}", file=sys.stderr)
-        return 0
-    if args.command == "cache":
-        print(f"cache dir: {store.cache_dir or '(memory only)'}", file=out)
-        for space, count in sorted(store.spaces().items()):
-            print(f"{space}: {count} entries", file=out)
         return 0
     raise _UsageError(f"unknown command {args.command!r}")
 

@@ -4,9 +4,10 @@ The complex count of a threefold class is half the sum of (D.S)^2-weighted
 surface counts over the fiber of classes pushing onto it.  The real count
 replaces the weight by a signed |D.S| and Welschinger surface inputs.  It is
 evaluated through per-family closed forms with one member per monodromy
-pair, which is the halved full-fiber sum.  The reference for those forms is
-``pezzo.signs.sign_exponent`` together with the full-fiber sum kept in the
-test suite (``tests/oracles.py``).
+pair, which is the halved full-fiber sum.  They are the only real path.
+The test suite checks them against the full-fiber sum signed member by
+member by ``pezzo.signs.sign_exponent``, and checks that sign against the
+paper's three-term sign calculus; both references are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

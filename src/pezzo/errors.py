@@ -28,10 +28,6 @@ class DegeneratePolygonError(PezzoError, ValueError):
     """
 
 
-class UndefinedSignError(PezzoError, ValueError):
-    """epsilon is undefined on classes with D.S = 0."""
-
-
 class EvenPairingError(PezzoError, ValueError):
     """sign_exponent is only defined for fiber members with odd D.S."""
 

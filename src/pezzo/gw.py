@@ -1,11 +1,10 @@
 """Genus-0 Gromov-Witten counts for the plane, its blow-ups, and quadric models.
 
-Two independent routes are implemented:
-
-* ``gw_p2`` -- the classical recursion for plane rational curves, kept free of
-  any blow-up machinery so it can serve as an oracle;
-* ``gw_blowup_p2`` -- a four-point associativity recursion on the thrice-blown
-  plane, seeded with the rigid low-constraint classes.
+``gw_blowup_p2`` is a four-point associativity recursion on the thrice-blown
+plane, seeded with the rigid low-constraint classes, and the only complex
+backend ``gw_surface`` runs.  It is checked against the floor diagrams of
+``pezzo.floor`` and against the classical plane recursion, which the test
+suite keeps as an oracle (``tests/oracles.py``).
 
 Quadric-side classes are translated to the plane side by the change of basis
 ``quadric_to_plane`` and its rank-2/3 restrictions.  All arithmetic is exact.
@@ -24,33 +23,6 @@ def _binom(n: int, k: int) -> int:
     if k < 0 or k > n or n < 0:
         return 0
     return comb(n, k)
-
-
-_P2_MEMO: dict = {1: 1}
-
-
-def gw_p2(d: int) -> int:
-    """Number of rational plane curves of degree d through 3d - 1 points.
-
-    >>> [gw_p2(d) for d in (1, 2, 3, 4)]
-    [1, 1, 12, 620]
-    """
-    d = int(d)
-    if d < 1:
-        raise DomainError(f"degree must be positive, got {d}")
-    known = _P2_MEMO.get(d)
-    if known is not None:
-        return known
-    total = 0
-    for d1 in range(1, d):
-        d2 = d - d1
-        n1, n2 = gw_p2(d1), gw_p2(d2)
-        total += n1 * n2 * (
-            d1 * d1 * d2 * d2 * comb(3 * d - 4, 3 * d1 - 2)
-            - d1 ** 3 * d2 * comb(3 * d - 4, 3 * d1 - 1)
-        )
-    _P2_MEMO[d] = total
-    return total
 
 
 # -- blown-up plane ----------------------------------------------------------

@@ -65,7 +65,6 @@ class ThreefoldFamily:
     h2_rank: int
     surface: SurfaceLattice
     psi_matrix: tuple        # h2_rank x surface.rank
-    anti_invariant_rank: int
     c1_row: tuple            # pairing of c1 with a class tuple
 
     def check(self, d: Sequence[int]) -> ClassVector:
@@ -121,16 +120,16 @@ QX2 = SurfaceLattice(
 SURFACES = {s.id: s for s in (P2, P2X1, P2X2, P2X3, Q, QX1, QX2)}
 
 DEG8 = ThreefoldFamily(
-    "deg8", 1, Q, ((1, 1),), 1, (4,),
+    "deg8", 1, Q, ((1, 1),), (4,),
 )
 DEG7 = ThreefoldFamily(
-    "deg7", 2, QX1, ((1, 1, 0), (0, 0, 1)), 2, (4, -2),
+    "deg7", 2, QX1, ((1, 1, 0), (0, 0, 1)), (4, -2),
 )
 DEG6 = ThreefoldFamily(
-    "deg6", 3, QX2, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, -1, -1)), 3, (2, 2, 2),
+    "deg6", 3, QX2, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, -1, -1)), (2, 2, 2),
 )
 DEG6T = ThreefoldFamily(
-    "deg6t", 2, QX2, ((1, 0, 0, 0), (1, 1, -1, -1)), 2, (4, 2),
+    "deg6t", 2, QX2, ((1, 0, 0, 0), (1, 1, -1, -1)), (4, 2),
 )
 
 FAMILIES = {f.id: f for f in (DEG8, DEG7, DEG6, DEG6T)}

@@ -26,7 +26,7 @@ from .errors import (
     DegeneratePolygonError,
     DomainError,
 )
-from .lattice import FAMILIES, SURFACES, constraint_count
+from .lattice import FAMILIES, SURFACES, constraint_count, monodromy
 
 CACHE_ENV = "PEZZO_CACHE_DIR"
 
@@ -84,7 +84,6 @@ class InvariantKey:
             if self.kind == "GW":
                 cls = gw.canonical_class(lat, cls)
             elif lat.vanishing_cycle is not None:
-                from .lattice import monodromy
                 cls = min(cls, monodromy(lat, cls))
         elif role == "twisted-surface":
             a, alpha, beta = cls
@@ -135,9 +134,6 @@ def _w_l0_surface(space: str, cls: tuple) -> int:
 class IngestReport:
     inserted: int = 0
     rejected: list = field(default_factory=list)   # (lineno, reason)
-
-    def __int__(self):
-        return self.inserted
 
 
 class Store:

@@ -38,7 +38,7 @@ def _deg6_classes(max_sum: int):
             for c in range(b + 1):
                 if 1 <= a + b + c <= max_sum:
                     out.append((a, b, c))
-    return sorted(out)
+    return out
 
 
 def gw_deg6_table(max_sum: int = 12, fmt: str = "md",
@@ -89,6 +89,8 @@ def _w_grid(family_id: str, columns, labels, store, fmt, csv_prefix):
                 cells[(d, l)] = "?"
                 missing += 1
     if fmt == "csv":
+        if not columns:
+            return "\n", missing
         lines = ["space," + ",".join(f"c{i + 1}" for i in range(len(columns[0]))) + ",l,value"]
         for d, bound in zip(columns, bounds):
             for l in range(bound + 1):
@@ -111,23 +113,18 @@ def w_deg7_table(max_d: int = 9, fmt: str = "md",
     """Real counts of the once-blown family, one grid per odd degree."""
     if store is None:
         store = default_store()
+    degrees = range(1, max_d + 1, 2)
+    if fmt == "csv":
+        columns = [(deg, k) for deg in degrees for k in range(deg + 1)]
+        return _w_grid("deg7", columns, None, store, fmt, "deg7")
     parts = []
     missing = 0
-    csv_lines = []
-    for deg in range(1, max_d + 1, 2):
+    for deg in degrees:
         columns = [(deg, k) for k in range(deg + 1)]
         labels = [f"({deg};{k})" for k in range(deg + 1)]
         text, miss = _w_grid("deg7", columns, labels, store, fmt, "deg7")
         missing += miss
-        if fmt == "csv":
-            body = text.splitlines()
-            if not csv_lines:
-                csv_lines.append(body[0])
-            csv_lines.extend(body[1:])
-        else:
-            parts.append(f"degree pair (d;k), d = {deg}\n\n" + text)
-    if fmt == "csv":
-        return "\n".join(csv_lines) + "\n", missing
+        parts.append(f"degree pair (d;k), d = {deg}\n\n" + text)
     return "\n".join(parts), missing
 
 
@@ -148,7 +145,6 @@ def w_deg6t_table(max_a: int = 5, fmt: str = "md",
     if store is None:
         store = default_store()
     columns = [(a, c) for a in range(1, max_a + 1) for c in range(1, 2 * a, 2)]
-    columns.sort(key=lambda d: (d[0], d[1]))
     labels = [f"({a};{c})" for a, c in columns]
     return _w_grid("deg6t", columns, labels, store, fmt, "deg6t")
 

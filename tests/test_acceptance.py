@@ -14,7 +14,7 @@ import pytest
 
 from conftest import ExplodingStore
 from golden import PLANE_W, TABLE2, TABLE3_COLUMNS, TABLE3_L0, TABLE4_L0
-from oracles import w_fiber_sum
+from oracles import SIGN_DATA, epsilon, gw_p2, qqe_eval, rho, w_fiber_sum
 from pezzo.combine import (
     WelschingerQuery,
     gw_threefold,
@@ -24,7 +24,7 @@ from pezzo.combine import (
 )
 from pezzo.errors import DataUnavailableError, DegeneratePolygonError
 from pezzo.floor import fd_count_complex, fd_count_real_l0, polygon_of
-from pezzo.gw import gw_blowup_p2, gw_p2, gw_surface
+from pezzo.gw import gw_blowup_p2, gw_surface
 from pezzo.lattice import (
     FAMILIES,
     SURFACES,
@@ -36,7 +36,7 @@ from pezzo.lattice import (
     push_forward,
     singular_fiber_count,
 )
-from pezzo.signs import SIGN_DATA, epsilon, qqe_eval, rho, sign_exponent
+from pezzo.signs import sign_exponent
 from pezzo.store import InvariantKey, Store
 
 
@@ -285,7 +285,7 @@ def test_criterion_8_property_suites(store):
                 ds = pair(surf, d, surf.vanishing_cycle)
                 twin = monodromy(surf, d)
                 if ds % 2:
-                    assert sign_exponent(data, twin) == sign_exponent(data, d)
+                    assert sign_exponent(fam, twin) == sign_exponent(fam, d)
                 if ds != 0:
                     assert epsilon(data, twin) == (epsilon(data, d) + 1) % 2
                 if fam in ("deg8", "deg7"):
@@ -296,7 +296,7 @@ def test_criterion_8_property_suites(store):
                 if pipeline_fam and ds % 2:
                     three_term = (epsilon(data, d) + genus(surf, d)
                                   + qqe_eval(data.enhancement, rho(data, d))) % 2
-                    assert three_term == sign_exponent(data, d)
+                    assert three_term == sign_exponent(fam, d)
 
         for degree in (5, 6, 7, 8):
             assert singular_fiber_count(degree) == 4

@@ -179,6 +179,23 @@ def test_cache_commands(tmp_path):
     assert not [p for p in os.listdir(cache) if p.endswith(".store")]
 
 
+def test_cache_info_counts_only_cache_files(tmp_path):
+    # the bundled fixtures are loaded by every store but live in no cache file
+    cache = str(tmp_path / "cache")
+    assert run(["--cache-dir", cache, "cache", "info"]) == (0, f"cache dir: {cache}\n")
+    code, text = run(["--cache-dir", cache, "w2", "--surface", "qx2", "--class", "3,3,1,2"])
+    assert code == 0
+    code, text = run(["--cache-dir", cache, "cache", "info"])
+    assert (code, text) == (0, f"cache dir: {cache}\nqx2: 1 entries\n")
+
+
+def test_table_empty_csv():
+    # a table with no column prints no header either
+    assert run(["table", "w-deg7", "--max-d", "0", "--format", "csv"]) == (0, "\n")
+    assert run(["table", "w-deg6", "--max-sum", "0", "--format", "csv"]) == (0, "\n")
+    assert run(["table", "w-deg6t", "--max-a", "0", "--format", "csv"]) == (0, "\n")
+
+
 def test_env_cache_dir(tmp_path, monkeypatch):
     cache = str(tmp_path / "envcache")
     monkeypatch.setenv("PEZZO_CACHE_DIR", cache)

@@ -4,6 +4,7 @@ from math import factorial, prod
 
 import pytest
 
+from oracles import gw_p2
 from pezzo.errors import DegeneratePolygonError
 from pezzo.floor import (
     _marking_count,
@@ -12,7 +13,7 @@ from pezzo.floor import (
     fd_count_real_l0,
     polygon_of,
 )
-from pezzo.gw import gw_p2, gw_surface
+from pezzo.gw import gw_surface
 from pezzo.lattice import SURFACES, constraint_count
 
 

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from golden import TABLE2
+from oracles import gw_p2
 from pezzo.errors import DomainError
-from pezzo.gw import gw_blowup_p2, gw_p2, gw_surface
+from pezzo.gw import gw_blowup_p2, gw_surface
 from pezzo.lattice import SURFACES, monodromy
 
 # first plane counts, regenerated by the recursion in test_plane_recursion

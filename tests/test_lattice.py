@@ -60,7 +60,7 @@ def test_constraint_count():
 
 
 def test_constraint_count_parity_error():
-    odd = ThreefoldFamily("odd", 1, Q, ((1, 1),), 1, (1,))
+    odd = ThreefoldFamily("odd", 1, Q, ((1, 1),), (1,))
     with pytest.raises(ParityError):
         constraint_count(odd, (1,))
 
