@@ -160,6 +160,10 @@ def _run(args, out) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
+    # exact counts outgrow Python's 4300-digit int/str limit (the p2 degree
+    # 600 count has 4552 digits)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

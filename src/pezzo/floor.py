@@ -30,7 +30,7 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .errors import DegeneratePolygonError, DomainError
-from .lattice import SURFACES
+from .lattice import SURFACES, quadric_coords
 
 
 @dataclass(frozen=True)
@@ -102,26 +102,20 @@ def _truncated_rectangle(surface_id, class_vec, a, b, alpha, beta) -> PolygonCla
 
 
 def polygon_of(lattice, d: Sequence[int]) -> PolygonClass:
-    """Newton polygon dual to a class on one of the toric surfaces."""
+    """Newton polygon dual to a class on p2 (a triangle) or on a quadric-side
+    surface (a rectangle cut at the class's ``quadric_coords``)."""
     if isinstance(lattice, str):
         lattice = SURFACES[lattice]
     d = lattice.check(d)
-    if lattice.id == "p2":
-        (deg,) = d
-        if deg < 1:
-            raise DegeneratePolygonError(f"p2({deg}): degree must be positive")
-        slabs = tuple((0, 1) for _ in range(deg))
-        return PolygonClass("p2", d, ((0, 0), (deg, 0), (0, deg)), slabs, deg, 0)
-    if lattice.id == "q":
-        a, b = d
-        return _truncated_rectangle("q", d, a, b, 0, 0)
-    if lattice.id == "qx1":
-        a, b, k = d
-        return _truncated_rectangle("qx1", d, a, b, 0, k)
-    if lattice.id == "qx2":
-        a, b, alpha, beta = d
-        return _truncated_rectangle("qx2", d, a, b, alpha, beta)
-    raise DomainError(f"no Newton polygon for surface {lattice.id!r}")
+    if lattice.side == "q":
+        return _truncated_rectangle(lattice.id, d, *quadric_coords(lattice, d))
+    if lattice.id != "p2":
+        raise DomainError(f"no Newton polygon for surface {lattice.id!r}")
+    (deg,) = d
+    if deg < 1:
+        raise DegeneratePolygonError(f"p2({deg}): degree must be positive")
+    slabs = tuple((0, 1) for _ in range(deg))
+    return PolygonClass("p2", d, ((0, 0), (deg, 0), (0, deg)), slabs, deg, 0)
 
 
 # -- diagram enumeration -------------------------------------------------------
@@ -310,6 +304,9 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
                         yield FloorDiagram(n, divs, edges, down, up, nu, deco)
 
 
+# Both counts are cached per polygon, shared by every Store in the process.
+# Without them the test suite ran 66 s instead of 30 s on a 2-vCPU host: the
+# two fiber-sum property suites went from under 0.3 s to 17-21 s each.
 @functools.cache
 def fd_count_complex(pc: PolygonClass) -> int:
     """Sum of w^2-weighted marked diagrams; equals the surface count."""
@@ -317,7 +314,7 @@ def fd_count_complex(pc: PolygonClass) -> int:
                for d in enumerate_diagrams(pc))
 
 
-@functools.cache
+@functools.cache  # cross-store, as above
 def fd_count_real_l0(pc: PolygonClass) -> int:
     """Signed diagram count for a totally real point configuration."""
     return sum(d.decorations * d.markings * d.real_multiplicity()

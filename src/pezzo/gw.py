@@ -6,17 +6,19 @@ backend ``gw_surface`` runs.  It is checked against the floor diagrams of
 ``pezzo.floor`` and against the classical plane recursion, which the test
 suite keeps as an oracle (``tests/oracles.py``).
 
-Quadric-side classes are translated to the plane side by the change of basis
-``quadric_to_plane`` and its rank-2/3 restrictions.  All arithmetic is exact.
+``gw_surface`` is a change of basis (``quadric_coords``, ``quadric_to_plane``)
+and keeps no cache: the one memo is ``_BLOWUP_MEMO``, the recursion's own
+table, which a miss fills bottom-up from ``_SHALLOW``.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 from typing import Sequence
 
 from .errors import DomainError
-from .lattice import SURFACES, SurfaceLattice, monodromy, quadric_to_plane
+from .lattice import SURFACES, SurfaceLattice, monodromy, quadric_coords, quadric_to_plane
 
 def _binom(n: int, k: int) -> int:
     # comb with out-of-range indices flattened to 0
@@ -46,6 +48,11 @@ _SEEDS = {(1, (0, 0, 0)): 1, (1, (1, 0, 0)): 1, (2, (1, 1, 1)): 1}
 # plain dicts act as atomic get-or-compute maps under the interpreter lock;
 # concurrent table generation may recompute a value, which is benign
 _BLOWUP_MEMO: dict = {}
+# the public entry fills the degrees from here up before it recurses: a miss
+# below this degree costs two frames per degree, so no call goes deeper than
+# about 2 * _SHALLOW frames, and the small classes every table asks for pay
+# no fill
+_SHALLOW = 32
 
 
 def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
@@ -54,8 +61,12 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
 
     Returns 0 for classes outside the supported shape, never raises.
     """
-    d = int(d)
-    m = tuple(sorted((int(a1), int(a2), int(a3)), reverse=True))
+    return _count(int(d), int(a1), int(a2), int(a3), fill=True)
+
+
+def _count(d: int, a1: int, a2: int, a3: int, fill: bool = False) -> int:
+    # gw_blowup_p2 on ints; the recursion's own calls leave fill off
+    m = tuple(sorted((a1, a2, a3), reverse=True))
     if d < 0:
         return 0
     if d == 0:
@@ -69,6 +80,11 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
         return 0
     if _k(d, m) < 0 or _g(d, m) < 0:
         return 0
+    if fill and (d, m) not in _BLOWUP_MEMO:
+        # public entry only, after the checks: fill from _SHALLOW up first
+        for lower in range(_SHALLOW, d):
+            for b in itertools.product(*(range(x + 1) for x in m)):
+                _count(lower, *b)
     return _gw_blowup(d, m)
 
 
@@ -90,10 +106,10 @@ def _gw_blowup(d: int, m: tuple) -> int:
         for b1 in range(a1 + 1):
             for b2 in range(a2 + 1):
                 for b3 in range(a3 + 1):
-                    n1 = gw_blowup_p2(d1, b1, b2, b3)
+                    n1 = _count(d1, b1, b2, b3)
                     if n1 == 0:
                         continue
-                    n2 = gw_blowup_p2(d2, a1 - b1, a2 - b2, a3 - b3)
+                    n2 = _count(d2, a1 - b1, a2 - b2, a3 - b3)
                     if n2 == 0:
                         continue
                     k1 = _k(d1, (b1, b2, b3))
@@ -115,34 +131,13 @@ def canonical_class(lattice: SurfaceLattice, d: Sequence[int]) -> tuple:
     return min(d, monodromy(lattice, d))
 
 
-_SURFACE_MEMO: dict = {}
-
-
 def gw_surface(lattice, d: Sequence[int]) -> int:
     """Genus-0 count on any supported surface, reduced to the plane backend."""
-    if isinstance(lattice, str):
-        try:
-            lattice = SURFACES[lattice]
-        except KeyError:
-            raise DomainError(f"unsupported surface {lattice!r}") from None
-    if lattice.id not in SURFACES:
-        raise DomainError(f"unsupported surface {lattice.id!r}")
+    surface_id = lattice if isinstance(lattice, str) else lattice.id
+    if surface_id not in SURFACES:
+        raise DomainError(f"unsupported surface {surface_id!r}")
+    lattice = SURFACES[surface_id]
     d = lattice.check(d)
-    key = (lattice.id, canonical_class(lattice, d))
-    known = _SURFACE_MEMO.get(key)
-    if known is not None:
-        return known
-
     if lattice.side == "p2":
-        mults = list(d[1:]) + [0] * (3 - len(d[1:]))
-        value = gw_blowup_p2(d[0], *mults)
-    elif lattice.id == "q":
-        a, b = d
-        value = gw_blowup_p2(a + b, a, b, 0)
-    elif lattice.id == "qx1":
-        a, b, k = d
-        value = gw_blowup_p2(a + b, a, b, k)
-    else:  # qx2
-        value = gw_blowup_p2(*quadric_to_plane(d))
-    _SURFACE_MEMO[key] = value
-    return value
+        return gw_blowup_p2(*d)
+    return gw_blowup_p2(*quadric_to_plane(quadric_coords(lattice, d)))

@@ -6,7 +6,8 @@ Class vectors are plain tuples of ints.  Two coordinate families are used:
   three points, meaning ``d*L - sum(ai * Fi)``;
 * quadric side ``(a, b)``, ``(a, b; k)``, ``(a, b; alpha, beta)`` for the
   product of two lines and its blow-ups at one or two points, meaning
-  ``a*L1 + b*L2 - k*E`` (resp. ``- alpha*E1 - beta*E2``).
+  ``a*L1 + b*L2 - k*E`` (resp. ``- alpha*E1 - beta*E2``); ``quadric_coords``
+  writes the first two as qx2 classes with zero cuts.
 
 Exceptional multiplicities are stored positively: the tuple entry ``alpha``
 stands for the coefficient of ``-E1``.  The Gram matrices below carry the
@@ -224,6 +225,15 @@ def fiber(family: ThreefoldFamily, d: Sequence[int]) -> list:
             return []
         return [(a, a, alpha, s - alpha) for alpha in range(s + 1)]
     raise DomainError(f"unknown family {family.id}")
+
+
+def quadric_coords(lattice: SurfaceLattice, d: Sequence[int]) -> ClassVector:
+    """A quadric-side class in the qx2 basis: q and qx1 are qx2 with zero
+    cuts, ``(a, b) -> (a, b; 0, 0)`` and ``(a, b; k) -> (a, b; 0, k)``."""
+    if lattice.side != "q":
+        raise DomainError(f"{lattice.id} is not a quadric-side surface")
+    d = lattice.check(d)
+    return d[:2] + (0,) * (QX2.rank - len(d)) + d[2:]
 
 
 def quadric_to_plane(d: Sequence[int]) -> ClassVector:

@@ -26,34 +26,30 @@ from .errors import (
     DegeneratePolygonError,
     DomainError,
 )
-from .lattice import FAMILIES, SURFACES, constraint_count, monodromy
+from .lattice import FAMILIES, SURFACES, constraint_count
 
 CACHE_ENV = "PEZZO_CACHE_DIR"
 
 # toric surfaces whose totally real counts the diagram backend serves
 _DIAGRAM_SPACES = ("p2", "q", "qx1", "qx2")
 
-# space token -> (rank, role); roles: surface, twisted-surface, family
-_SPACE_INFO = {
-    "p2": (1, "surface"), "p2x1": (2, "surface"), "p2x2": (3, "surface"),
-    "p2x3": (4, "surface"), "q": (2, "surface"), "qx1": (3, "surface"),
-    "qx2": (4, "surface"),
-    "qx2t": (3, "twisted-surface"),
-    "deg8": (1, "family"), "deg7": (2, "family"),
-    "deg6": (3, "family"), "deg6t": (2, "family"),
-}
+# qx2 classes (a, a; alpha, beta), fixed by the real twist, keyed (a, alpha, beta);
+# every other space token is a surface or a family of pezzo.lattice
+_TWISTED = "qx2t"
 
 # emission tokens for complex-count tables; ingest maps them to GW keys
 _GW_ALIAS = {"deg8-gw": "deg8", "deg7-gw": "deg7", "deg6-gw": "deg6"}
 
 
 def space_rank(space: str) -> int:
-    if space in _GW_ALIAS:
-        space = _GW_ALIAS[space]
-    try:
-        return _SPACE_INFO[space][0]
-    except KeyError:
-        raise DomainError(f"unknown space token {space!r}") from None
+    space = _GW_ALIAS.get(space, space)
+    if space in SURFACES:
+        return SURFACES[space].rank
+    if space in FAMILIES:
+        return FAMILIES[space].h2_rank
+    if space == _TWISTED:
+        return 3
+    raise DomainError(f"unknown space token {space!r}")
 
 
 @dataclass(frozen=True)
@@ -78,14 +74,12 @@ class InvariantKey:
 
     def canonical(self) -> "InvariantKey":
         space, cls = self.space, tuple(int(x) for x in self.cls)
-        role = _SPACE_INFO[space][1]
-        if role == "surface":
+        if space in SURFACES:
             lat = SURFACES[space]
-            if self.kind == "GW":
+            # W keys only on the quadric side: there the twin is a monodromy image
+            if self.kind == "GW" or lat.vanishing_cycle is not None:
                 cls = gw.canonical_class(lat, cls)
-            elif lat.vanishing_cycle is not None:
-                cls = min(cls, monodromy(lat, cls))
-        elif role == "twisted-surface":
+        elif space == _TWISTED:
             a, alpha, beta = cls
             cls = min(cls, (a, beta, alpha))
         elif space == "deg6":
@@ -99,10 +93,9 @@ class InvariantKey:
 
 def _gw_of(space: str, cls: tuple) -> int:
     """Complex count behind a key, used for computation and validation."""
-    role = _SPACE_INFO[space][1]
-    if role == "surface":
+    if space in SURFACES:
         return gw.gw_surface(space, cls)
-    if role == "twisted-surface":
+    if space == _TWISTED:
         a, alpha, beta = cls
         return gw.gw_surface("qx2", (a, a, alpha, beta))
     from . import combine  # deferred: combine imports this module
@@ -244,8 +237,7 @@ class Store:
     def _compute(self, key: InvariantKey) -> int:
         if key.kind == "GW":
             return _gw_of(key.space, key.cls)
-        role = _SPACE_INFO[key.space][1]
-        if role == "family":
+        if key.space in FAMILIES:
             from . import combine
             query = combine.WelschingerQuery(key.space, key.cls, key.pairs)
             return combine.w_threefold(query, store=self)

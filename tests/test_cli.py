@@ -1,5 +1,8 @@
 import io
 import os
+import sys
+
+import pytest
 
 from pezzo.cli import main
 from pezzo.tables import gw_deg6_table
@@ -92,6 +95,31 @@ def test_table_defaults_come_from_the_table_functions():
     assert (code, text) == (0, gw_deg6_table()[0])
     # a bound flag the table does not take is ignored
     assert run(["table", "gw-deg6", "--max-d", "3", "--max-a", "1"]) == (0, text)
+
+
+@pytest.fixture
+def digit_limit():
+    # main lifts the interpreter-wide int/str digit limit; put it back
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if old is not None:
+        sys.set_int_max_str_digits(old)
+
+
+def test_gw2_prints_counts_past_digit_limit(monkeypatch, digit_limit):
+    monkeypatch.setattr("pezzo.cli.gw_surface", lambda surface, cls: 10 ** 5000)
+    code, text = run(["gw2", "--surface", "p2", "--class", "600"])
+    assert code == 0 and text == "1" + "0" * 5000 + "\n"
+
+
+def test_ingest_huge_value_rejected_by_bound(tmp_path, capsys, digit_limit):
+    path = tmp_path / "huge.csv"
+    path.write_text("space,c1,l,value\np2,3,0," + "9" * 5000 + "\n", encoding="utf-8")
+    code, text = run(["--cache-dir", str(tmp_path / "cache"), "ingest",
+                      "--surface", "p2", "--file", str(path)])
+    assert (code, text) == (0, "inserted 0 row(s)\n")
+    err = capsys.readouterr().err
+    assert err.startswith("rejected line 2: |") and "exceeds complex count 12" in err
 
 
 def test_ingest_missing_file(tmp_path, capsys):

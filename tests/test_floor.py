@@ -5,7 +5,7 @@ from math import factorial, prod
 import pytest
 
 from oracles import gw_p2
-from pezzo.errors import DegeneratePolygonError
+from pezzo.errors import DegeneratePolygonError, DomainError
 from pezzo.floor import (
     _marking_count,
     enumerate_diagrams,
@@ -38,6 +38,8 @@ def test_polygon_degenerate():
         polygon_of("p2", (0,))
     with pytest.raises(DegeneratePolygonError):
         polygon_of("qx2", (0, 0, 0, -1))
+    with pytest.raises(DomainError):
+        polygon_of("p2x1", (3, 1))
 
 
 def test_marked_points_match_constraints():
@@ -80,6 +82,14 @@ def test_backend_equivalence_small():
                     assert fd_count_complex(pc) == gw_surface("qx2", cls), cls
 
 
+def _shape(surface, cls):
+    try:
+        pc = polygon_of(surface, cls)
+    except DegeneratePolygonError:
+        return None
+    return pc.vertices, pc.slabs, pc.d_b, pc.d_t
+
+
 def test_blowdown_compatibility():
     # the once- and twice-blown models restrict the same counts
     for a in range(4):
@@ -90,6 +100,14 @@ def test_blowdown_compatibility():
                 left = fd_count_complex(polygon_of("qx1", (a, b, k)))
                 right = fd_count_complex(polygon_of("qx2", (a, b, 0, k)))
                 assert left == right, (a, b, k)
+    # q and qx1 are qx2 with zero cuts: same polygon, same lattice count
+    for a, b, k in itertools.product(range(9), repeat=3):
+        if a + b > 8:
+            continue
+        assert _shape("q", (a, b)) == _shape("qx2", (a, b, 0, 0)), (a, b)
+        assert gw_surface("q", (a, b)) == gw_surface("qx2", (a, b, 0, 0)), (a, b)
+        assert _shape("qx1", (a, b, k)) == _shape("qx2", (a, b, 0, k)), (a, b, k)
+        assert gw_surface("qx1", (a, b, k)) == gw_surface("qx2", (a, b, 0, k)), (a, b, k)
 
 
 def test_monodromy_swaps_cuts():

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -72,6 +75,20 @@ def test_blowup_permutation_symmetry():
             assert gw_blowup_p2(d, *perm) == base
 
 
+def test_blowup_recursion_stays_shallow():
+    # lower degrees are filled first, so the stack does not grow with d
+    code = ("import sys; sys.setrecursionlimit(120)\n"
+            "from pezzo.gw import gw_blowup_p2\n"
+            "print(gw_blowup_p2(100, 0, 0, 0), gw_blowup_p2(64, 1, 1, 1))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # multiplicity one at a point is one more point condition
+    assert proc.stdout.split() == [str(gw_p2(100)), str(gw_p2(64))]
+
+
 def test_oracle_equality():
     for d in range(1, 7):
         assert gw_blowup_p2(d, 1, 1, 0) == gw_p2(d)
@@ -111,6 +128,9 @@ def test_gw_surface_monodromy_symmetry():
     for _, members in TABLE2.values():
         for member, _, want in members:
             assert gw_surface(qx2, monodromy(qx2, member)) == want
+    for cls in itertools.product(range(9), repeat=4):
+        if cls[0] + cls[1] <= 8:
+            assert gw_surface(qx2, monodromy(qx2, cls)) == gw_surface(qx2, cls), cls
 
 
 def test_gw_surface_dispatch():
