@@ -3,22 +3,23 @@
 The complex count of a threefold class is half the sum of (D.S)^2-weighted
 surface counts over the fiber of classes pushing onto it.  The real count
 replaces the weight by a signed |D.S| and Welschinger surface inputs.  It is
-evaluated through per-family closed forms with one member per monodromy
-pair, which is the halved full-fiber sum.  They are the only real path.
-The test suite checks them against the full-fiber sum signed member by
-member by ``pezzo.signs.sign_exponent``, and checks that sign against the
-paper's three-term sign calculus; both references are in ``tests/oracles.py``.
+evaluated, as the only real path, through closed forms with one member per
+monodromy pair, read off the family's line (``ThreefoldFamily.line``).  The
+test suite checks them against the full-fiber sum signed member by member
+by ``pezzo.signs.sign_exponent``, and checks that sign against the paper's
+three-term sign calculus; both references are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .errors import DataUnavailableError, DomainError, ParityError, WQueryError
 from .gw import gw_surface
-from .lattice import FAMILIES, ThreefoldFamily, constraint_count, fiber, pair
-from .store import InvariantKey, Store, default_store
+from .lattice import DEG6, FAMILIES, ThreefoldFamily, constraint_count, fiber, pair
+from .store import InvariantKey, Store, default_store, space_rank
 
 
 @dataclass(frozen=True)
@@ -47,11 +48,6 @@ def _as_tuple(family: ThreefoldFamily, d) -> tuple:
     return family.check(d)
 
 
-def _cycle_pairing(family: ThreefoldFamily, member) -> int:
-    surface = family.surface
-    return pair(surface, member, surface.vanishing_cycle)
-
-
 def gw_threefold(family, d) -> int:
     """Complex count of rational curves in the threefold class d."""
     family = _family(family)
@@ -60,12 +56,13 @@ def gw_threefold(family, d) -> int:
             "complex counts are real-structure independent; query deg6 instead"
         )
     d = _as_tuple(family, d)
+    surface = family.surface
     total = 0
     for member in fiber(family, d):
-        ds = _cycle_pairing(family, member)
+        ds = pair(surface, member, surface.vanishing_cycle)
         if ds == 0:
             continue
-        total += ds * ds * gw_surface(family.surface, member)
+        total += ds * ds * gw_surface(surface, member)
     if total % 2:
         raise ParityError(f"fiber sum for {family.id}{d} is odd: {total}")
     return total // 2
@@ -82,47 +79,24 @@ def gw_vanishes_a_priori(family, d) -> bool:
 
 
 def w_vanishes_a_priori(family, d) -> bool:
-    """True when every fiber member has even D.S, or the support fails."""
+    """True when the fiber is empty, every fiber member has even D.S (the
+    line has odd length), or, on the qx2 families, the support fails."""
     family = _family(family)
-    d = _as_tuple(family, d)
-    if family.id == "deg8":
-        return d[0] % 2 == 0
-    if family.id == "deg7":
-        return d[0] % 2 == 0
-    if family.id == "deg6":
-        a, b, c = sorted(d, reverse=True)
-        # the support condition spares the line classes (a + b + c = 1)
-        return (a + b + c) % 2 == 0 or (a > b + c and a + b + c > 1)
-    a, c = d
-    return c % 2 == 0 or (c > 2 * a and 2 * a + c > 1)
+    line = family.line(_as_tuple(family, d))
+    if line is None or line[1] % 2:
+        return True
+    if family.surface is not DEG6.surface:
+        return False
+    # gw_vanishes_a_priori's support rule on D_0's image (a, b, c), inline: w3 hot path
+    a, b, alpha, beta = line[0]
+    c = a + b - alpha - beta
+    return a + b + c > 1 and 2 * max(a, b, c) >= a + b + c
 
 
 def _member_key(family_id: str, member: tuple, pairs: int) -> InvariantKey:
-    if family_id == "deg6t":
-        a, _, alpha, beta = member
-        return InvariantKey("W", "qx2t", (a, alpha, beta), pairs)
-    return InvariantKey("W", FAMILIES[family_id].surface.id, member, pairs)
-
-
-def _fetch_w(store: Store, family_id: str, terms, pairs: int):
-    """Surface Welschinger inputs for (coeff, member) terms; members whose
-    complex count vanishes are skipped without touching the store."""
-    surface = FAMILIES[family_id].surface
-    values = []
-    missing = []
-    for coeff, member in terms:
-        if gw_surface(surface, member) == 0:
-            continue
-        key = _member_key(family_id, member, pairs)
-        try:
-            values.append((coeff, store.get_or_compute(key)))
-        except DataUnavailableError as exc:
-            for k in exc.keys:
-                if k not in missing:
-                    missing.append(k)
-    if missing:
-        raise DataUnavailableError(missing)
-    return values
+    space = FAMILIES[family_id].member_space
+    # a qx2t member (a, a; alpha, beta) is keyed (a, alpha, beta)
+    return InvariantKey("W", space, member[len(member) - space_rank(space):], pairs)
 
 
 def _check_query(query: WelschingerQuery) -> tuple:
@@ -149,40 +123,35 @@ def w_threefold(query: WelschingerQuery, store: Optional[Store] = None) -> int:
         store = default_store()
     if family.id == "deg6":
         d = tuple(sorted(d, reverse=True))
-    terms = _reduced_terms(family, d)
-    values = _fetch_w(store, family.id, terms, query.pairs)
-    return sum(coeff * w for coeff, w in values)
+    return _closed_form(store, family, d, query.pairs)
 
 
-def _reduced_terms(family: ThreefoldFamily, d: tuple) -> list:
-    """(signed coefficient, member) per monodromy pair, per the closed forms.
-
-    ``d`` is past ``w_vanishes_a_priori`` (and sorted for deg6).  The only
-    such class with a = 0 is the twisted line class (0;1), whose fiber pair
-    is {(0,0;-1,0), (0,0;0,-1)}: alpha runs from s = -1 there.
-    """
-    fam = family.id
-    if fam == "deg8":
-        (deg,) = d
-        return [((-1) ** a * (deg - 2 * a), (a, deg - a))
-                for a in range((deg + 1) // 2)]
-    if fam == "deg7":
-        deg, k = d
-        base = (k + k * k) // 2
-        return [((-1) ** (a + base) * (deg - 2 * a), (a, deg - a, k))
-                for a in range((deg + 1) // 2)]
-    if fam == "deg6":
-        a, b, c = d
-        s = a + b - c
-        base = (s - 1) // 2
-        return [((-1) ** (alpha + base) * (s - 2 * alpha), (a, b, alpha, s - alpha))
-                for alpha in range((s + 1) // 2)]
-    a, c = d
-    s = 2 * a - c
-    base = (c + 1) // 2
-    # alpha may be -1 here; the exponent is reduced so the power stays an int
-    return [((-1) ** ((alpha + base) % 2) * (s - 2 * alpha), (a, a, alpha, s - alpha))
-            for alpha in range(min(s, 0), (s + 1) // 2)]
+def _closed_form(store: Store, family: ThreefoldFamily, d: tuple, pairs: int) -> int:
+    """The real fiber sum by the closed forms, for ``d`` past
+    ``w_vanishes_a_priori`` (and sorted for deg6): the first length // 2
+    members D_t of the family's line, one per monodromy pair, weigh
+    (-1)^(t + base) D_t.S, where D_t.S = length - 1 - 2t.  Members whose
+    complex count vanishes are skipped without touching the store."""
+    member, length, base = family.line(d)
+    total = 0
+    missing = []
+    for t in range(length // 2):
+        if t:
+            member = tuple(map(add, member, family.surface.vanishing_cycle))
+        if gw_surface(family.surface, member) == 0:
+            continue
+        try:
+            w = store.get_or_compute(_member_key(family.id, member, pairs))
+        except DataUnavailableError as exc:
+            for k in exc.keys:
+                if k not in missing:
+                    missing.append(k)
+            continue
+        # base may be negative: reduce the exponent so the power stays an int
+        total += (-1) ** ((t + base) % 2) * (length - 1 - 2 * t) * w
+    if missing:
+        raise DataUnavailableError(missing)
+    return total
 
 
 def positivity_report(max_sum: int, store: Optional[Store] = None,
@@ -197,9 +166,9 @@ def positivity_report(max_sum: int, store: Optional[Store] = None,
         for b in range(a + 1):
             for c in range(b + 1):
                 d = (a, b, c)
-                if sum(d) > max_sum or sum(d) % 2 == 0 or a > b + c:
+                if sum(d) > max_sum or w_vanishes_a_priori(DEG6, d):
                     continue
-                k_d = sum(d)
+                k_d = constraint_count(DEG6, d)
                 for l in range(min(max_pairs, (k_d - 1) // 2) + 1):
                     try:
                         value = w_threefold(WelschingerQuery("deg6", d, l), store)

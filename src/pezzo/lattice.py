@@ -17,7 +17,9 @@ corresponding signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import accumulate, repeat
+from operator import add
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, ParityError, RankMismatchError, UnsupportedLatticeError
 
@@ -60,13 +62,20 @@ class SurfaceLattice:
 
 @dataclass(frozen=True)
 class ThreefoldFamily:
-    """One of the four (real) threefold settings handled by the engine."""
+    """One of the four (real) threefold settings handled by the engine.
+
+    ``line(d)`` is None when the fiber over d is empty, else (D_0, length,
+    base): the fiber is D_0 + t S, t < length, from D_0 to its monodromy image,
+    so D_t.S = length - 1 - 2t.  Members' W values live in ``member_space``.
+    """
 
     id: str
     h2_rank: int
     surface: SurfaceLattice
     psi_matrix: tuple        # h2_rank x surface.rank
     c1_row: tuple            # pairing of c1 with a class tuple
+    member_space: str
+    line: Callable           # d -> None or (D_0, length, sign base)
 
     def check(self, d: Sequence[int]) -> ClassVector:
         d = _vec(d)
@@ -120,17 +129,33 @@ QX2 = SurfaceLattice(
 
 SURFACES = {s.id: s for s in (P2, P2X1, P2X2, P2X3, Q, QX1, QX2)}
 
+
+def _qx2_line(a, b, c, twist):
+    # (a, b; alpha, beta) with alpha + beta = s = a + b - c; s < 0 only over
+    # a = b = 0, where the line holds the exceptional multiples (0, 0; -t, t - c).
+    # For odd s the twisted sign base is the standard one plus a (mod 2).
+    s = a + b - c
+    if (s < 0) != (a == b == 0):
+        return None
+    start = s if s < 0 else 0
+    return (a, b, start, s - start), s - 2 * start + 1, (s - 1) // 2 + start + twist
+
+
 DEG8 = ThreefoldFamily(
-    "deg8", 1, Q, ((1, 1),), (4,),
+    "deg8", 1, Q, ((1, 1),), (4,), "q",
+    lambda d: ((0, *d), d[0] + 1, 0) if d[0] >= 1 else None,
 )
 DEG7 = ThreefoldFamily(
-    "deg7", 2, QX1, ((1, 1, 0), (0, 0, 1)), (4, -2),
+    "deg7", 2, QX1, ((1, 1, 0), (0, 0, 1)), (4, -2), "qx1",
+    lambda d: ((0, *d), d[0] + 1, (d[1] + d[1] ** 2) // 2) if d[0] >= 1 and d[1] >= 0 else None,
 )
 DEG6 = ThreefoldFamily(
-    "deg6", 3, QX2, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, -1, -1)), (2, 2, 2),
+    "deg6", 3, QX2, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, -1, -1)), (2, 2, 2), "qx2",
+    lambda d: None if min(d) < 0 else _qx2_line(*d, 0),
 )
 DEG6T = ThreefoldFamily(
-    "deg6t", 2, QX2, ((1, 0, 0, 0), (1, 1, -1, -1)), (4, 2),
+    "deg6t", 2, QX2, ((1, 0, 0, 0), (1, 1, -1, -1)), (4, 2), "qx2t",
+    lambda d: None if d[0] < 0 else _qx2_line(d[0], d[0], d[1], d[0]),
 )
 
 FAMILIES = {f.id: f for f in (DEG8, DEG7, DEG6, DEG6T)}
@@ -187,44 +212,15 @@ def push_forward(family: ThreefoldFamily, d: Sequence[int]) -> ClassVector:
 
 
 def fiber(family: ThreefoldFamily, d: Sequence[int]) -> list:
-    """Surface classes over a threefold class with possibly nonzero invariants.
-
-    The list is closed under the monodromy involution; classes that are not
-    effective at all yield the empty list.
-    """
-    d = family.check(d)
-    if family.id == "deg8":
-        (deg,) = d
-        if deg < 1:
-            return []
-        return [(a, deg - a) for a in range(deg + 1)]
-    if family.id == "deg7":
-        deg, k = d
-        if deg < 1 or k < 0:
-            return []
-        return [(a, deg - a, k) for a in range(deg + 1)]
-    if family.id == "deg6":
-        a, b, c = d
-        if a < 0 or b < 0 or c < 0:
-            return []
-        if a == 0 and b == 0:
-            # only multiples of the two exceptional classes push to (0, 0, c)
-            return [(0, 0, -t, t - c) for t in range(c + 1)] if c >= 1 else []
-        s = a + b - c
-        if s < 0:
-            return []
-        return [(a, b, alpha, s - alpha) for alpha in range(s + 1)]
-    if family.id == "deg6t":
-        a, c = d
-        if a < 0:
-            return []
-        if a == 0:
-            return [(0, 0, -t, t - c) for t in range(c + 1)] if c >= 1 else []
-        s = 2 * a - c
-        if s < 0:
-            return []
-        return [(a, a, alpha, s - alpha) for alpha in range(s + 1)]
-    raise DomainError(f"unknown family {family.id}")
+    """Surface classes over a threefold class with possibly nonzero invariants:
+    the members D_0 + t S of ``family.line(d)`` in that order, a list closed
+    under the monodromy involution.  It is empty when d is not effective."""
+    line = family.line(family.check(d))
+    if line is None:
+        return []
+    start, length, _ = line
+    steps = repeat(family.surface.vanishing_cycle, length - 1)
+    return list(accumulate(steps, lambda member, s: tuple(map(add, member, s)), initial=start))
 
 
 def quadric_coords(lattice: SurfaceLattice, d: Sequence[int]) -> ClassVector:

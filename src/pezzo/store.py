@@ -13,6 +13,7 @@ with exactly rank+3 comma-separated fields; ``#`` lines are comments; UTF-8.
 from __future__ import annotations
 
 import os
+import re
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -39,6 +40,11 @@ _TWISTED = "qx2t"
 
 # emission tokens for complex-count tables; ingest maps them to GW keys
 _GW_ALIAS = {"deg8-gw": "deg8", "deg7-gw": "deg7", "deg6-gw": "deg6"}
+
+# the literals int() reads; int() is quadratic in the length, so a value token
+# past the default int/str digit limit (4300) is first bounded by its digit count
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: none
 
 
 def space_rank(space: str) -> int:
@@ -284,10 +290,12 @@ class Store:
             if len(parts) != rank + 3:
                 raise CsvParseError(lineno, f"expected {rank + 3} fields, got {len(parts)}")
             row_space = parts[0]
+            value = parts[-1]
             try:
                 cls = tuple(int(x) for x in parts[1:-2])
                 pairs = int(parts[-2])
-                value = int(parts[-1])
+                if not _INTEGER.fullmatch(value) or len(value) > _digit_limit() > 0:
+                    int(value)  # int()'s own error: no integer literal, or past the limit
             except ValueError as exc:
                 raise CsvParseError(lineno, str(exc)) from None
             if row_space != space_id:
@@ -315,11 +323,17 @@ class Store:
             raise CsvParseError(1, "missing header line")
         return report
 
-    def _validate_row(self, key: InvariantKey, value: int, pairs: int):
+    def _validate_row(self, key: InvariantKey, token: str, pairs: int):
         try:
             total = _gw_of(key.space, key.cls)
         except (DomainError, DataUnavailableError):
             return None  # complex side not computable: accept as-is
+        if len(token) > 4300 and token.isascii():
+            digits = token.lstrip("+-").replace("_", "").lstrip("0")
+            # then |value| >= 10 ** (len - 1) >= 2 ** (3 * (len - 1)) > total
+            if 3 * (len(digits) - 1) >= total.bit_length():
+                return f"|{digits[:3]}…({len(digits)} digits)| exceeds complex count {total}"
+        value = int(token)
         if key.kind == "GW":
             if pairs != 0:
                 return "complex-count rows must have l = 0"

@@ -19,7 +19,7 @@ from .combine import (
 )
 from .errors import DataUnavailableError
 from .gw import gw_surface
-from .lattice import FAMILIES, constraint_count, pair
+from .lattice import FAMILIES, constraint_count, fiber, pair
 from .store import Store, default_store
 
 
@@ -54,22 +54,17 @@ def gw_deg6_table(max_sum: int = 12, fmt: str = "md",
         return "\n".join(lines) + "\n", 0
     rows = []
     for d in classes:
-        a, b, c = d
-        s = a + b - c
-        label = f"({a},{b},{c})"
+        label = "(%d,%d,%d)" % d
         value = str(gw_threefold(family, d))
-        first = True
-        for alpha in range((s + 1) // 2):
-            member = (a, b, alpha, s - alpha)
-            ds = abs(pair(surface, member, surface.vanishing_cycle))
+        members = fiber(family, d)
+        for t, member in enumerate(members[: len(members) // 2]):
             rows.append([
-                label if first else "",
-                value if first else "",
-                f"({a},{b};{alpha},{s - alpha})",
-                str(ds),
+                label if t == 0 else "",
+                value if t == 0 else "",
+                "(%d,%d;%d,%d)" % member,
+                str(abs(pair(surface, member, surface.vanishing_cycle))),
                 str(gw_surface(surface, member)),
             ])
-            first = False
     text = _md_table(["class", "count", "fiber member", "D.S", "member count"], rows)
     return text, 0
 

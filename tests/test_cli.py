@@ -1,6 +1,7 @@
 import io
 import os
 import sys
+import time
 
 import pytest
 
@@ -120,6 +121,20 @@ def test_ingest_huge_value_rejected_by_bound(tmp_path, capsys, digit_limit):
     assert (code, text) == (0, "inserted 0 row(s)\n")
     err = capsys.readouterr().err
     assert err.startswith("rejected line 2: |") and "exceeds complex count 12" in err
+
+
+def test_ingest_rejects_400000_digit_value_fast(tmp_path, capsys, digit_limit):
+    path = tmp_path / "huge.csv"
+    path.write_text("space,c1,l,value\np2,3,0," + "9" * 400000 + "\n", encoding="utf-8")
+    argv = ["--cache-dir", str(tmp_path / "cache"), "ingest", "--surface", "p2",
+            "--file", str(path)]
+    start = time.perf_counter()
+    code, text = run(argv)
+    elapsed = time.perf_counter() - start
+    assert (code, text) == (0, "inserted 0 row(s)\n")
+    err = capsys.readouterr().err
+    assert err == "rejected line 2: |999…(400000 digits)| exceeds complex count 12\n"
+    assert len(err.encode()) < 200 and elapsed < 0.5, elapsed
 
 
 def test_ingest_missing_file(tmp_path, capsys):

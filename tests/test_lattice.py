@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from pezzo.errors import (
     RankMismatchError,
     UnsupportedLatticeError,
 )
+from pezzo.gw import gw_surface
 from pezzo.lattice import (
     DEG6,
     DEG6T,
@@ -60,7 +62,7 @@ def test_constraint_count():
 
 
 def test_constraint_count_parity_error():
-    odd = ThreefoldFamily("odd", 1, Q, ((1, 1),), (1,))
+    odd = ThreefoldFamily("odd", 1, Q, ((1, 1),), (1,), "q", DEG8.line)
     with pytest.raises(ParityError):
         constraint_count(odd, (1,))
 
@@ -150,6 +152,22 @@ def test_fiber_members_push_and_count():
         s = family.surface.vanishing_cycle
         if all(pair(family.surface, m, s) != 0 for m in members):
             assert len(members) % 2 == 0
+
+
+def test_fiber_is_complete():
+    # independent of the line records: every class with a curve and D.S != 0
+    # (and a = b on the twisted family) lies in the fiber over its image
+    checked = 0
+    for family in FAMILIES.values():
+        surface = family.surface
+        for d in itertools.product(range(-2, 8), repeat=surface.rank):
+            if family.id == "deg6t" and d[0] != d[1]:
+                continue
+            if pair(surface, d, surface.vanishing_cycle) == 0 or gw_surface(surface, d) == 0:
+                continue
+            assert d in fiber(family, push_forward(family, d)), (family.id, d)
+            checked += 1
+    assert checked == 1050
 
 
 def test_quadric_to_plane_examples():
