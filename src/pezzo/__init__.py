@@ -51,7 +51,7 @@ from .lattice import (
     singular_fiber_count,
 )
 from .signs import sign_exponent
-from .store import IngestReport, InvariantKey, Store, clear_cache, default_store
+from .store import IngestReport, InvariantKey, Store, clear_cache
 
 __version__ = "1.0.0"
 
@@ -63,7 +63,7 @@ __all__ = [
     "PolygonClass", "FloorDiagram", "polygon_of", "enumerate_diagrams",
     "fd_count_complex", "fd_count_real_l0",
     "sign_exponent",
-    "InvariantKey", "Store", "IngestReport", "default_store", "clear_cache",
+    "InvariantKey", "Store", "IngestReport", "clear_cache",
     "WelschingerQuery", "gw_threefold", "w_threefold",
     "gw_vanishes_a_priori", "w_vanishes_a_priori", "positivity_report",
     "PezzoError", "RankMismatchError", "ParityError", "UnsupportedLatticeError",

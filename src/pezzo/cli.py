@@ -14,7 +14,7 @@ from .combine import WelschingerQuery, gw_threefold, w_threefold
 from .errors import DataUnavailableError, PezzoError
 from .gw import gw_surface
 from .lattice import FAMILIES, SURFACES
-from .store import Store, InvariantKey, clear_cache, space_rank
+from .store import Store, InvariantKey, clear_cache
 from .tables import TABLES
 
 
@@ -118,26 +118,14 @@ def _run(args, out) -> int:
         return 0
     if args.command == "w3":
         query = WelschingerQuery(args.family, _parse_class(args.cls), args.pairs)
-        try:
-            print(w_threefold(query, store), file=out)
-        except DataUnavailableError as exc:
-            print("?", file=out)
-            for key in exc.keys:
-                print(f"missing: {key}", file=sys.stderr)
-            return 2
+        print(w_threefold(query, store), file=out)
         return 0
     if args.command == "w2":
         cls = _parse_class(args.cls)
         if args.dump_diagrams and args.surface != "qx2t":
             _dump_diagrams(args.surface, cls, out)
         key = InvariantKey("W", args.surface, cls, args.pairs)
-        try:
-            print(store.get_or_compute(key), file=out)
-        except DataUnavailableError as exc:
-            print("?", file=out)
-            for missing in exc.keys:
-                print(f"missing: {missing}", file=sys.stderr)
-            return 2
+        print(store.get_or_compute(key), file=out)
         return 0
     if args.command == "table":
         # each table takes one bound flag; the other two are ignored
@@ -149,7 +137,6 @@ def _run(args, out) -> int:
         out.write(text)
         return 2 if missing else 0
     if args.command == "ingest":
-        space_rank(args.surface)  # validates the token
         report = store.ingest_csv(args.file, args.surface)
         print(f"inserted {report.inserted} row(s)", file=out)
         for lineno, reason in report.rejected:
@@ -168,6 +155,11 @@ def main(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args, out)
+    except DataUnavailableError as exc:
+        print("?", file=out)
+        for key in exc.keys:
+            print(f"missing: {key}", file=sys.stderr)
+        return 2
     except (_UsageError, PezzoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Optional
 
-from .errors import DataUnavailableError, DomainError, ParityError, WQueryError
+from .errors import CacheError, DataUnavailableError, DomainError, ParityError, WQueryError
 from .gw import gw_surface
 from .lattice import DEG6, FAMILIES, ThreefoldFamily, constraint_count, fiber, pair
-from .store import InvariantKey, Store, default_store, space_rank
+from .store import InvariantKey, Store, space_rank, w_conflict
 
 
 @dataclass(frozen=True)
 class WelschingerQuery:
+    """A checked query: a known family, a class of its rank with even c1.d
+    (kept as a tuple), and 0 <= pairs <= (k_d - 1) // 2."""
+
     family_id: str
     cls: tuple
     pairs: int
@@ -31,6 +33,15 @@ class WelschingerQuery:
     def __post_init__(self):
         if self.family_id not in FAMILIES:
             raise DomainError(f"unknown family {self.family_id!r}")
+        family = FAMILIES[self.family_id]
+        d = _as_tuple(family, self.cls)
+        k_d = constraint_count(family, d)
+        if not 0 <= self.pairs <= (k_d - 1) // 2:
+            raise WQueryError(
+                f"{family.id}{d}: pairs {self.pairs} outside 0..{max((k_d - 1) // 2, -1)}"
+                " (at least one real point is required)"
+            )
+        object.__setattr__(self, "cls", d)
 
 
 def _family(family) -> ThreefoldFamily:
@@ -82,7 +93,10 @@ def w_vanishes_a_priori(family, d) -> bool:
     """True when the fiber is empty, every fiber member has even D.S (the
     line has odd length), or, on the qx2 families, the support fails."""
     family = _family(family)
-    line = family.line(_as_tuple(family, d))
+    return _line_vanishes(family, family.line(_as_tuple(family, d)))
+
+
+def _line_vanishes(family: ThreefoldFamily, line) -> bool:
     if line is None or line[1] % 2:
         return True
     if family.surface is not DEG6.surface:
@@ -99,54 +113,47 @@ def _member_key(family_id: str, member: tuple, pairs: int) -> InvariantKey:
     return InvariantKey("W", space, member[len(member) - space_rank(space):], pairs)
 
 
-def _check_query(query: WelschingerQuery) -> tuple:
-    family = FAMILIES[query.family_id]
-    d = _as_tuple(family, query.cls)
-    k_d = constraint_count(family, d)
-    if not 0 <= query.pairs <= (k_d - 1) // 2:
-        raise WQueryError(
-            f"{family.id}{d}: pairs {query.pairs} outside 0..{max((k_d - 1) // 2, -1)}"
-            " (at least one real point is required)"
-        )
-    return d
-
-
-def w_threefold(query: WelschingerQuery, store: Optional[Store] = None) -> int:
+def w_threefold(query: WelschingerQuery, store: Store) -> int:
     """Real signed count of the threefold class through k_d points with
     ``query.pairs`` conjugate pairs; 0 without data access when the parity or
     support predicate applies."""
     family = FAMILIES[query.family_id]
-    d = _check_query(query)
-    if w_vanishes_a_priori(family, d):
-        return 0
-    if store is None:
-        store = default_store()
+    d = query.cls
     if family.id == "deg6":
         d = tuple(sorted(d, reverse=True))
-    return _closed_form(store, family, d, query.pairs)
+    line = family.line(d)
+    if _line_vanishes(family, line):
+        return 0
+    return _closed_form(store, family, line, query.pairs)
 
 
-def _closed_form(store: Store, family: ThreefoldFamily, d: tuple, pairs: int) -> int:
-    """The real fiber sum by the closed forms, for ``d`` past
-    ``w_vanishes_a_priori`` (and sorted for deg6): the first length // 2
-    members D_t of the family's line, one per monodromy pair, weigh
-    (-1)^(t + base) D_t.S, where D_t.S = length - 1 - 2t.  Members whose
-    complex count vanishes are skipped without touching the store."""
-    member, length, base = family.line(d)
+def _closed_form(store: Store, family: ThreefoldFamily, line: tuple, pairs: int) -> int:
+    """The real fiber sum by the closed forms, for a ``line`` past
+    ``w_vanishes_a_priori``: the first length // 2 members D_t of the line,
+    one per monodromy pair, weigh (-1)^(t + base) D_t.S, where
+    D_t.S = length - 1 - 2t.  Members whose complex count vanishes are
+    skipped without touching the store; a served W that ``w_conflict``
+    rejects raises CacheError."""
+    member, length, base = line
     total = 0
     missing = []
     for t in range(length // 2):
         if t:
             member = tuple(map(add, member, family.surface.vanishing_cycle))
-        if gw_surface(family.surface, member) == 0:
+        gw = gw_surface(family.surface, member)
+        if gw == 0:
             continue
+        key = _member_key(family.id, member, pairs)
         try:
-            w = store.get_or_compute(_member_key(family.id, member, pairs))
+            w = store.get_or_compute(key)
         except DataUnavailableError as exc:
             for k in exc.keys:
                 if k not in missing:
                     missing.append(k)
             continue
+        reason = w_conflict(w, gw)
+        if reason:
+            raise CacheError(f"stored {key}: {reason}")
         # base may be negative: reduce the exponent so the power stays an int
         total += (-1) ** ((t + base) % 2) * (length - 1 - 2 * t) * w
     if missing:
@@ -154,13 +161,10 @@ def _closed_form(store: Store, family: ThreefoldFamily, d: tuple, pairs: int) ->
     return total
 
 
-def positivity_report(max_sum: int, store: Optional[Store] = None,
-                      max_pairs: int = 0) -> list:
+def positivity_report(max_sum: int, store: Store, max_pairs: int = 0) -> list:
     """Nonnegativity sweep for the standard-real product family: returns the
     (class, pairs, value) triples that come out negative, plus the queries
     with missing data (value None).  Informational only."""
-    if store is None:
-        store = default_store()
     rows = []
     for a in range(1, max_sum + 1):
         for b in range(a + 1):

@@ -31,9 +31,6 @@ from .lattice import FAMILIES, SURFACES, constraint_count
 
 CACHE_ENV = "PEZZO_CACHE_DIR"
 
-# toric surfaces whose totally real counts the diagram backend serves
-_DIAGRAM_SPACES = ("p2", "q", "qx1", "qx2")
-
 # qx2 classes (a, a; alpha, beta), fixed by the real twist, keyed (a, alpha, beta);
 # every other space token is a surface or a family of pezzo.lattice
 _TWISTED = "qx2t"
@@ -60,6 +57,9 @@ def space_rank(space: str) -> int:
 
 @dataclass(frozen=True)
 class InvariantKey:
+    """A checked key holding the canonical class: monodromy twins, qx2t cut
+    swaps, deg6 and p2-side GW multiplicity permutations give equal keys."""
+
     kind: str        # "GW" or "W"
     space: str
     cls: tuple
@@ -77,20 +77,18 @@ class InvariantKey:
             raise DomainError(
                 f"space {self.space}: class {self.cls} has length {len(self.cls)}, want {rank}"
             )
-
-    def canonical(self) -> "InvariantKey":
-        space, cls = self.space, tuple(int(x) for x in self.cls)
-        if space in SURFACES:
-            lat = SURFACES[space]
+        cls = tuple(int(x) for x in self.cls)
+        if self.space in SURFACES:
+            lat = SURFACES[self.space]
             # W keys only on the quadric side: there the twin is a monodromy image
             if self.kind == "GW" or lat.vanishing_cycle is not None:
                 cls = gw.canonical_class(lat, cls)
-        elif space == _TWISTED:
+        elif self.space == _TWISTED:
             a, alpha, beta = cls
             cls = min(cls, (a, beta, alpha))
-        elif space == "deg6":
+        elif self.space == "deg6":
             cls = tuple(sorted(cls, reverse=True))
-        return InvariantKey(self.kind, space, cls, self.pairs)
+        object.__setattr__(self, "cls", cls)
 
     def __str__(self):
         cls = ",".join(map(str, self.cls))
@@ -111,19 +109,21 @@ def _gw_of(space: str, cls: tuple) -> int:
     return combine.gw_threefold(FAMILIES[space], cls)
 
 
-def _w_l0_surface(space: str, cls: tuple) -> int:
+def _w_l0_surface(key: InvariantKey) -> int:
     """Totally real count on a standard toric surface, via floor diagrams.
 
-    Classes without a Newton polygon are either invisible (zero complex
+    Classes with a degenerate polygon are either invisible (zero complex
     count) or rigid smooth curves through no points, which count +1.
     """
     try:
-        pc = floor.polygon_of(space, cls)
+        pc = floor.polygon_of(key.space, key.cls)
+    except DomainError:  # no Newton polygon: a blown-up plane
+        raise DataUnavailableError([key]) from None
     except DegeneratePolygonError:
-        total = gw.gw_surface(space, cls)
+        total = gw.gw_surface(key.space, key.cls)
         if total == 0:
             return 0
-        if total == 1 and constraint_count(SURFACES[space], cls) == 0:
+        if total == 1 and constraint_count(SURFACES[key.space], key.cls) == 0:
             return 1
         raise
     return floor.fd_count_real_l0(pc)
@@ -176,7 +176,7 @@ class Store:
                         continue
                     parts = line.split(",")
                     cls = tuple(int(x) for x in parts[1:-2])
-                    key = InvariantKey(parts[0], space, cls, int(parts[-2])).canonical()
+                    key = InvariantKey(parts[0], space, cls, int(parts[-2]))
                     value = int(parts[-1])
                 except (ValueError, IndexError) as exc:
                     raise CacheError(f"{path}:{lineno}: bad row {raw!r}: {exc}") from None
@@ -205,8 +205,7 @@ class Store:
     # -- core map -------------------------------------------------------------
 
     def insert(self, key: InvariantKey, value: int, persist: bool = True) -> bool:
-        """Insert a canonicalized entry; False when it conflicts."""
-        key = key.canonical()
+        """Insert an entry; False when it conflicts."""
         value = int(value)
         with self._lock:
             old = self._data.get(key)
@@ -218,7 +217,7 @@ class Store:
             return True
 
     def lookup(self, key: InvariantKey):
-        return self._data.get(key.canonical())
+        return self._data.get(key)
 
     def __len__(self):
         return len(self._data)
@@ -230,7 +229,6 @@ class Store:
         return out
 
     def get_or_compute(self, key: InvariantKey) -> int:
-        key = key.canonical()
         with self._lock:
             known = self._data.get(key)
             if known is not None:
@@ -250,9 +248,9 @@ class Store:
         # surface Welschinger: a vanishing complex count forces zero
         if _gw_of(key.space, key.cls) == 0:
             return 0
-        if key.pairs == 0 and key.space in _DIAGRAM_SPACES:
-            return _w_l0_surface(key.space, key.cls)
-        raise DataUnavailableError([key])
+        if key.pairs or key.space == _TWISTED:
+            raise DataUnavailableError([key])
+        return _w_l0_surface(key)
 
     # -- ingestion --------------------------------------------------------------
 
@@ -315,7 +313,7 @@ class Store:
                 continue
             if not self.insert(key, value, persist=persist):
                 report.rejected.append(
-                    (lineno, f"conflicts with stored value {self.lookup(key)}")
+                    (lineno, f"conflicts with stored value {_short(self.lookup(key))}")
                 )
                 continue
             report.inserted += 1
@@ -324,27 +322,37 @@ class Store:
         return report
 
     def _validate_row(self, key: InvariantKey, token: str, pairs: int):
-        try:
-            total = _gw_of(key.space, key.cls)
-        except (DomainError, DataUnavailableError):
-            return None  # complex side not computable: accept as-is
+        total = _gw_of(key.space, key.cls)
         if len(token) > 4300 and token.isascii():
             digits = token.lstrip("+-").replace("_", "").lstrip("0")
             # then |value| >= 10 ** (len - 1) >= 2 ** (3 * (len - 1)) > total
             if 3 * (len(digits) - 1) >= total.bit_length():
-                return f"|{digits[:3]}…({len(digits)} digits)| exceeds complex count {total}"
+                return f"|{_short(digits)}| exceeds complex count {_short(total)}"
         value = int(token)
         if key.kind == "GW":
             if pairs != 0:
                 return "complex-count rows must have l = 0"
             if value != total:
-                return f"complex count is {total}, row says {value}"
+                return f"complex count is {_short(total)}, row says {_short(value)}"
             return None
-        if abs(value) > total:
-            return f"|{value}| exceeds complex count {total}"
-        if (value - total) % 2:
-            return f"parity of {value} conflicts with complex count {total}"
-        return None
+        return w_conflict(value, total)
+
+
+def w_conflict(value: int, total: int) -> Optional[str]:
+    """Why W = value and GW = total break W ≡ GW mod 2 or |W| <= GW, else None."""
+    if abs(value) > total:
+        return f"|{_short(value)}| exceeds complex count {_short(total)}"
+    if (value - total) % 2:
+        return f"parity of {_short(value)} conflicts with complex count {_short(total)}"
+    return None
+
+
+def _short(number) -> str:
+    """A number as a rejection prints it: past 60 digits, its sign, first
+    three digits and digit count."""
+    text = str(number)
+    n = len(text.lstrip("-"))
+    return text if n <= 60 else f"{text[:len(text) - n + 3]}…({n} digits)"
 
 
 def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
@@ -365,13 +373,3 @@ def clear_cache(cache_dir: Optional[str] = None) -> int:
                 os.remove(os.path.join(cache_dir, name))
                 removed += 1
     return removed
-
-
-_DEFAULT: Optional[Store] = None
-
-
-def default_store() -> Store:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Store()
-    return _DEFAULT

@@ -20,7 +20,7 @@ from .combine import (
 from .errors import DataUnavailableError
 from .gw import gw_surface
 from .lattice import FAMILIES, constraint_count, fiber, pair
-from .store import Store, default_store
+from .store import Store
 
 
 def _md_table(header, rows) -> str:
@@ -103,11 +103,8 @@ def _w_grid(family_id: str, columns, labels, store, fmt, csv_prefix):
     return text, missing
 
 
-def w_deg7_table(max_d: int = 9, fmt: str = "md",
-                 store: Optional[Store] = None) -> tuple:
+def w_deg7_table(max_d: int = 9, fmt: str = "md", *, store: Store) -> tuple:
     """Real counts of the once-blown family, one grid per odd degree."""
-    if store is None:
-        store = default_store()
     degrees = range(1, max_d + 1, 2)
     if fmt == "csv":
         columns = [(deg, k) for deg in degrees for k in range(deg + 1)]
@@ -123,22 +120,16 @@ def w_deg7_table(max_d: int = 9, fmt: str = "md",
     return "\n".join(parts), missing
 
 
-def w_deg6_table(max_sum: int = 15, fmt: str = "md",
-                 store: Optional[Store] = None) -> tuple:
+def w_deg6_table(max_sum: int = 15, fmt: str = "md", *, store: Store) -> tuple:
     """Real counts of the standard-real product family."""
-    if store is None:
-        store = default_store()
     family = FAMILIES["deg6"]
     columns = [d for d in _deg6_classes(max_sum) if not w_vanishes_a_priori(family, d)]
     labels = ["(%d,%d,%d)" % d for d in columns]
     return _w_grid("deg6", columns, labels, store, fmt, "deg6")
 
 
-def w_deg6t_table(max_a: int = 5, fmt: str = "md",
-                  store: Optional[Store] = None) -> tuple:
+def w_deg6t_table(max_a: int = 5, fmt: str = "md", *, store: Store) -> tuple:
     """Real counts of the twisted product family (ingested inputs only)."""
-    if store is None:
-        store = default_store()
     columns = [(a, c) for a in range(1, max_a + 1) for c in range(1, 2 * a, 2)]
     labels = [f"({a};{c})" for a, c in columns]
     return _w_grid("deg6t", columns, labels, store, fmt, "deg6t")

@@ -34,9 +34,10 @@ def test_w3_fixture_column():
     assert (code, text) == (0, "-4\n")
 
 
-def test_w3_twisted_needs_ingestion(tmp_path):
+def test_w3_twisted_needs_ingestion(tmp_path, capsys):
     code, text = run(["w3", "--family", "deg6t", "--class", "1,1", "--pairs", "0"])
     assert code == 2 and text == "?\n"
+    assert capsys.readouterr().err == "missing: (W qx2t (1,0,1) l=0)\n"
     csv = tmp_path / "twist.csv"
     csv.write_text("space,c1,c2,c3,l,value\nqx2t,1,0,1,0,1\n", encoding="utf-8")
     cache = str(tmp_path / "cache")
@@ -52,6 +53,25 @@ def test_gw2_and_w2():
     assert run(["gw2", "--surface", "qx2", "--class", "4,4,1,3"]) == (0, "87304\n")
     assert run(["w2", "--surface", "p2", "--class", "3", "--pairs", "0"]) == (0, "8\n")
     assert run(["w2", "--surface", "p2", "--class", "4", "--pairs", "3"]) == (0, "40\n")
+
+
+def test_w2_without_newton_polygon_needs_ingestion(capsys):
+    # p2x2 has no Newton polygon, so even its totally real count is ingested
+    assert run(["w2", "--surface", "p2x2", "--class", "4,1,1"]) == (2, "?\n")
+    assert capsys.readouterr().err == "missing: (W p2x2 (4,1,1) l=0)\n"
+
+
+def test_w3_rejects_stored_value_breaking_the_bound(tmp_path, capsys):
+    # GW(q; 1,2) = 1, so a stored W of 5 cannot be served; the true w3 is -1
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "q.store").write_text("W,1,2,0,5\n", encoding="utf-8")
+    code, text = run(["--cache-dir", str(cache), "w3", "--family", "deg8", "--class", "3"])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(W q (1,2) l=0)" in err
+    (cache / "q.store").write_text("W,1,2,0,1\n", encoding="utf-8")
+    assert run(["--cache-dir", str(cache), "w3", "--family", "deg8", "--class", "3"]) == (0, "-1\n")
 
 
 def test_dump_diagrams():
@@ -121,6 +141,18 @@ def test_ingest_huge_value_rejected_by_bound(tmp_path, capsys, digit_limit):
     assert (code, text) == (0, "inserted 0 row(s)\n")
     err = capsys.readouterr().err
     assert err.startswith("rejected line 2: |") and "exceeds complex count 12" in err
+
+
+def test_ingest_rejection_shortens_long_counts(tmp_path, capsys, digit_limit):
+    # GW(p2; 200) has 1227 digits; the rejection shows its first three and its length
+    path = tmp_path / "p2.csv"
+    path.write_text("space,c1,l,value\np2,200,0,1\n", encoding="utf-8")
+    code, text = run(["--cache-dir", str(tmp_path / "cache"), "ingest", "--surface", "p2",
+                      "--file", str(path)])
+    assert (code, text) == (0, "inserted 0 row(s)\n")
+    err = capsys.readouterr().err
+    assert err == "rejected line 2: parity of 1 conflicts with complex count 107…(1227 digits)\n"
+    assert len(err.encode()) < 120
 
 
 def test_ingest_rejects_400000_digit_value_fast(tmp_path, capsys, digit_limit):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -98,15 +99,15 @@ def test_w_threefold_missing_data_lists_keys(bare_store):
     assert len(err.value.keys) == 2
 
 
-def test_w_threefold_pair_bound():
+def test_w_threefold_pair_bound(bare_store):
     with pytest.raises(WQueryError):
-        w_threefold(WelschingerQuery("deg7", (5, 0), 5))
+        w_threefold(WelschingerQuery("deg7", (5, 0), 5), bare_store)
     with pytest.raises(WQueryError):
-        w_threefold(WelschingerQuery("deg6", (3, 3, 3), -1))
+        w_threefold(WelschingerQuery("deg6", (3, 3, 3), -1), bare_store)
     # l = (k_d - 1)/2 is the last admissible row (k_d = 8 here)
     assert w_threefold(WelschingerQuery("deg8", (4,), 3), Store(cache_dir=None)) == 0
     with pytest.raises(WQueryError):
-        w_threefold(WelschingerQuery("deg8", (4,), 4))
+        w_threefold(WelschingerQuery("deg8", (4,), 4), bare_store)
 
 
 def test_w_vanishes_a_priori():
@@ -120,6 +121,29 @@ def test_w_vanishes_a_priori():
     assert not w_vanishes_a_priori("deg6t", (3, 5))
     assert w_vanishes_a_priori("deg6t", (3, 4))
     assert w_vanishes_a_priori("deg6t", (1, 3))
+
+
+def test_w_threefold_builds_the_line_once(monkeypatch, store, bare_store):
+    calls = []
+    for family in list(FAMILIES.values()):
+        def line(d, line=family.line):
+            calls.append(d)
+            return line(d)
+        monkeypatch.setitem(FAMILIES, family.id, dataclasses.replace(family, line=line))
+    queries = [
+        (WelschingerQuery("deg8", (5,), 0), store),
+        (WelschingerQuery("deg8", (4,), 0), store),         # vanishes: odd line length
+        (WelschingerQuery("deg7", (5, 2), 1), store),
+        (WelschingerQuery("deg6", (2, 3, 3), 0), store),
+        (WelschingerQuery("deg6", (5, 2, 1), 0), store),    # vanishes: support
+        (WelschingerQuery("deg6t", (1, 1), 0), bare_store),  # missing data
+    ]
+    for n, (query, source) in enumerate(queries, start=1):
+        try:
+            w_threefold(query, source)
+        except DataUnavailableError:
+            pass
+        assert len(calls) == n, query
 
 
 def test_w_vanishing_needs_no_data(exploding_store):

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pezzo.errors import CacheError, CsvParseError, DataUnavailableError, DomainError
 from pezzo.gw import gw_surface
-from pezzo.lattice import SURFACES, monodromy
-from pezzo.store import InvariantKey, Store
+from pezzo.lattice import FAMILIES, SURFACES, monodromy
+from pezzo.store import InvariantKey, Store, space_rank
 
 
 def test_key_validation():
@@ -20,9 +22,38 @@ def test_key_validation():
 
 
 def test_canonical_monodromy():
-    key1 = InvariantKey("W", "qx2", (3, 3, 1, 2), 0).canonical()
-    key2 = InvariantKey("W", "qx2", (3, 3, 2, 1), 0).canonical()
+    key1 = InvariantKey("W", "qx2", (3, 3, 1, 2), 0)
+    key2 = InvariantKey("W", "qx2", (3, 3, 2, 1), 0)
     assert key1 == key2
+
+
+@st.composite
+def _key_fields(draw):
+    space = draw(st.sampled_from(sorted(SURFACES) + sorted(FAMILIES) + ["qx2t"]))
+    kind = draw(st.sampled_from(["GW", "W"]))
+    cls = tuple(draw(st.lists(st.integers(-3, 9), min_size=space_rank(space),
+                              max_size=space_rank(space))))
+    return kind, space, cls, 0 if kind == "GW" else draw(st.integers(0, 3))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_key_fields(), st.data())
+def test_keys_are_built_canonical(fields, data):
+    kind, space, cls, pairs = fields
+    key = InvariantKey(kind, space, cls, pairs)
+    assert InvariantKey(key.kind, key.space, key.cls, key.pairs) == key
+    twins = []
+    lattice = SURFACES.get(space)
+    if lattice is not None and lattice.vanishing_cycle is not None:
+        twins.append(monodromy(lattice, cls))
+    if lattice is not None and lattice.side == "p2" and kind == "GW":
+        twins.append(cls[:1] + tuple(data.draw(st.permutations(cls[1:]))))
+    if space == "qx2t":
+        twins.append((cls[0], cls[2], cls[1]))
+    if space == "deg6":
+        twins.append(tuple(data.draw(st.permutations(cls))))
+    for twin in twins:
+        assert InvariantKey(kind, space, twin, pairs) == key, twin
 
 
 def test_get_or_compute_examples(store):
@@ -34,7 +65,7 @@ def test_get_or_compute_examples(store):
 def test_missing_twisted_data(bare_store):
     with pytest.raises(DataUnavailableError) as err:
         bare_store.get_or_compute(InvariantKey("W", "qx2t", (1, 0, 1), 1))
-    assert err.value.keys == [InvariantKey("W", "qx2t", (1, 0, 1), 1).canonical()]
+    assert err.value.keys == [InvariantKey("W", "qx2t", (1, 0, 1), 1)]
 
 
 def test_zero_complex_count_forces_zero(bare_store):
@@ -59,7 +90,7 @@ def test_round_trip_persistence(tmp_path):
         al = rng.randrange(0, min(a, b) + 1) if min(a, b) else 0
         be = rng.randrange(0, min(a, b) + 1) if min(a, b) else 0
         keys.append(InvariantKey("GW", "qx2", (a, b, al, be)))
-    values = {key.canonical(): first.get_or_compute(key) for key in keys}
+    values = {key: first.get_or_compute(key) for key in keys}
     second = Store(cache_dir=cache, load_fixtures=False)
     for key, want in values.items():
         assert second.lookup(key) == want
