@@ -15,14 +15,14 @@ For totally real configurations the multiplicity is 0 on any even weight and
 +1 otherwise (the two endpoint signs of a bounded elevator cancel); this
 convention is pinned by the plane values 8, 240, 18264 in the tests.  So the
 real count enumerates odd elevator weights only and never builds a diagram
-with an even weight; the complex count and ``--dump-diagrams`` still go
-through every diagram.
+with an even weight.  Trees are built floor by floor from the top, so one
+that admits no weighting is never visited; both counts and ``--dump-diagrams``
+get the diagrams ordered by the tree's Prüfer code, then by the weights.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -105,6 +105,8 @@ def polygon_of(lattice, d: Sequence[int]) -> PolygonClass:
     """Newton polygon dual to a class on p2 (a triangle) or on a quadric-side
     surface (a rectangle cut at the class's ``quadric_coords``)."""
     if isinstance(lattice, str):
+        if lattice not in SURFACES:
+            raise DomainError(f"no Newton polygon for surface {lattice!r}")
         lattice = SURFACES[lattice]
     d = lattice.check(d)
     if lattice.side == "q":
@@ -120,72 +122,64 @@ def polygon_of(lattice, d: Sequence[int]) -> PolygonClass:
 
 # -- diagram enumeration -------------------------------------------------------
 
-def _prufer_tree(code, n):
-    degree = [1] * n
-    for v in code:
-        degree[v] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in code:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((min(u, w), max(u, w)))
-    return tuple(sorted(edges))
+def _prufer_code(edges, n) -> tuple:
+    """Prüfer code of a tree on floors 0..n-1 (edges as (i, j, weight))."""
+    adj = [set() for _ in range(n)]
+    for i, j, _ in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    code = []
+    for _ in range(n - 2):
+        leaf = min(v for v in range(n) if len(adj[v]) == 1)
+        (v,) = adj[leaf]
+        code.append(v)
+        adj[v].discard(leaf)
+        adj[leaf].clear()
+    return tuple(code)
 
 
-def _spanning_trees(n: int) -> Iterator[tuple]:
-    if n == 1:
-        yield ()
-    elif n == 2:
-        yield ((0, 1),)
-    else:
-        for code in itertools.product(range(n), repeat=n - 2):
-            yield _prufer_tree(code, n)
+def _live_weightings(n, divs, d_b, d_t, step) -> list:
+    """Weighted trees on the floors, with weights 1, 1 + step, ..., whose
+    t_j = dn_j - up_j fit the unbounded ends: [(edges, t)], sorted by the
+    tree's Prüfer code, then by the weights read floor by floor from the top.
 
-
-def _weightings(tree, divs, d_b, d_t, step) -> Iterator[tuple]:
-    """Assign edge weights 1, 1 + step, ...; yield (weights, t) with
-    t_j = dn_j - up_j required."""
-    n = len(divs)
-    below = defaultdict(list)   # upper floor -> edge indices
-    above = defaultdict(list)   # lower floor -> edge indices
-    for idx, (i, j) in enumerate(tree):
-        below[j].append(idx)
-        above[i].append(idx)
+    Built from the top floor down: floor j joins lower floors of other
+    components, and a component that can no longer reach a lower floor ends
+    the branch.  ``comp`` labels each floor by the lowest floor it reaches.
+    """
     wmax = d_b + d_t + sum(abs(v) for v in divs)
-    weights = [0] * len(tree)
-    t = [0] * n
+    hang = [0] * n              # weight above each floor
+    edges, t, found = [], [0] * n, []
 
-    def walk(floor, need_dn, need_up):
-        if floor < 0:
-            yield tuple(weights), tuple(t)
+    def join(j, i, tj, comp, nd, nu):
+        # floor j may next join floor i; nd, nu: unbounded ends used above j
+        if tj < nu - d_t:
             return
-        todo = below[floor]
-
-        def assign(pos):
-            if pos == len(todo):
-                tj = divs[floor]
-                tj -= sum(weights[idx] for idx in below[floor])
-                tj += sum(weights[idx] for idx in above[floor])
-                t[floor] = tj
-                nd = need_dn + max(tj, 0)
-                nu = need_up + max(-tj, 0)
-                if nd <= d_b and nu <= d_t:
-                    yield from walk(floor - 1, nd, nu)
+        if i == j:              # floor j is done
+            if tj > d_b - nd or (j and comp[j] == j):
                 return
-            for w in range(1, wmax + 1, step):
-                weights[todo[pos]] = w
-                yield from assign(pos + 1)
+            t[j] = tj
+            nd, nu = nd + max(tj, 0), nu + max(-tj, 0)
+            if j:
+                join(j - 1, 0, divs[j - 1] + hang[j - 1], comp, nd, nu)
+            elif d_b - nd == d_t - nu:
+                found.append((tuple(edges), tuple(t)))
+            return
+        join(j, i + 1, tj, comp, nd, nu)
+        a, b = comp[i], comp[j]
+        if a == b:
+            return
+        merged = [min(a, b) if c in (a, b) else c for c in comp]
+        for w in range(1, min(wmax, tj + d_t - nu) + 1, step):
+            hang[i] += w
+            edges.append((i, j, w))
+            join(j, i + 1, tj - w, merged, nd, nu)
+            edges.pop()
+            hang[i] -= w
 
-        yield from assign(0)
-
-    yield from walk(n - 1, 0, 0)
+    join(n - 1, 0, divs[n - 1], list(range(n)), 0, 0)
+    found.sort(key=lambda f: (_prufer_code(f[0], n), [w for _, _, w in f[0]]))
+    return [(tuple(sorted(tree)), t) for tree, t in found]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple]:
@@ -207,16 +201,27 @@ def _marking_count(n_floors: int, items) -> int:
     items: (lo, hi, count) groups of identical objects, each to be placed in
     one of the gaps lo..hi between consecutive floors (gap g precedes floor
     g; gap n_floors is above every floor).
+
+    A group with lo = 0 and hi < n_floors (a floor's lower ends) may go
+    anywhere below floor hi, so it stays out of the DP state: once gap hi is
+    done its c objects go among the M elements below floor hi, the hi floors
+    and every object placed so far, in comb(M + c, c) ways, and their c!
+    stays out of the denominator.
     """
     arrivals = defaultdict(lambda: defaultdict(int))
+    lower_ends = defaultdict(list)
     denom = 1
     for lo, hi, c in items:
-        if c:
+        if lo == 0 and hi < n_floors:
+            lower_ends[hi].append(c)
+        elif c:
             arrivals[lo][hi] += c
             denom *= factorial(c)
     states = {(): 1}
+    seen = 0                    # objects that have arrived or been inserted
     for g in range(n_floors + 1):
         incoming = arrivals.get(g, {})
+        seen += sum(incoming.values())
         nxt = defaultdict(int)
         for state, ways in states.items():
             pool = dict(state)
@@ -243,6 +248,10 @@ def _marking_count(n_floors: int, items) -> int:
 
             place(0, must, 1, dict(pool))
         states = nxt
+        for c in lower_ends.get(g, ()):
+            states = {state: ways * comb(g + seen - sum(k for _, k in state) + c, c)
+                      for state, ways in states.items()}
+            seen += c
     total = states.get((), 0)
     assert total % denom == 0
     return total // denom
@@ -285,23 +294,17 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
     if n == 0:
         raise DegeneratePolygonError(f"{pc.surface_id}{pc.class_vec}: zero height")
     for divs, deco in _divergence_patterns(pc):
-        for tree in _spanning_trees(n):
-            for weights, t in _weightings(tree, divs, pc.d_b, pc.d_t, 2 if real else 1):
-                need_dn = sum(max(v, 0) for v in t)
-                need_up = sum(max(-v, 0) for v in t)
-                slack = pc.d_b - need_dn
-                if slack < 0 or pc.d_t - need_up != slack:
-                    continue
-                for extra in _compositions(slack, n):
-                    down = tuple(max(v, 0) + x for v, x in zip(t, extra))
-                    up = tuple(max(-v, 0) + x for v, x in zip(t, extra))
-                    edges = tuple((i, j, w) for (i, j), w in zip(tree, weights))
-                    items = [(i + 1, j, 1) for i, j, _ in edges]
-                    items += [(0, f, down[f]) for f in range(n)]
-                    items += [(f + 1, n, up[f]) for f in range(n)]
-                    nu = _marking_count(n, items)
-                    if nu:
-                        yield FloorDiagram(n, divs, edges, down, up, nu, deco)
+        for edges, t in _live_weightings(n, divs, pc.d_b, pc.d_t, 2 if real else 1):
+            slack = pc.d_b - sum(max(v, 0) for v in t)
+            for extra in _compositions(slack, n):
+                down = tuple(max(v, 0) + x for v, x in zip(t, extra))
+                up = tuple(max(-v, 0) + x for v, x in zip(t, extra))
+                items = [(i + 1, j, 1) for i, j, _ in edges]
+                items += [(0, f, down[f]) for f in range(n)]
+                items += [(f + 1, n, up[f]) for f in range(n)]
+                nu = _marking_count(n, items)
+                if nu:
+                    yield FloorDiagram(n, divs, edges, down, up, nu, deco)
 
 
 # Both counts are cached per polygon, shared by every Store in the process.

@@ -248,7 +248,7 @@ class Store:
         # surface Welschinger: a vanishing complex count forces zero
         if _gw_of(key.space, key.cls) == 0:
             return 0
-        if key.pairs or key.space == _TWISTED:
+        if key.pairs:
             raise DataUnavailableError([key])
         return _w_l0_surface(key)
 

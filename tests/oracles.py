@@ -16,14 +16,25 @@ must equal ``sign_exponent``.
 ``gw_p2`` is the classical recursion for plane rational curves, free of any
 blow-up machinery, against which ``pezzo.gw.gw_blowup_p2`` and the floor
 diagrams are checked.
+
+``enumerate_diagrams_scan`` finds the floor diagrams by scanning every
+spanning tree of the floors in Prüfer order and every weighting of it, and
+``marking_count_dp`` keeps every marked object in its DP state;
+``pezzo.floor.enumerate_diagrams`` builds only the live weighted trees, floor
+by floor, and ``pezzo.floor._marking_count`` inserts the lower ends at the
+end, and each must give the same values, the diagrams in the same order.
 """
 
+import heapq
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from math import comb
-from typing import Callable, Sequence
+from math import comb, factorial
+from typing import Callable, Iterator, Sequence
 
 from pezzo.combine import WelschingerQuery, _member_key, w_vanishes_a_priori
-from pezzo.errors import DomainError, PezzoError, RankMismatchError
+from pezzo.errors import DegeneratePolygonError, DomainError, PezzoError, RankMismatchError
+from pezzo.floor import FloorDiagram, PolygonClass, _compositions, _divergence_patterns
 from pezzo.gw import gw_surface
 from pezzo.lattice import DEG6, DEG6T, DEG7, DEG8, FAMILIES, ThreefoldFamily, fiber, pair
 from pezzo.signs import sign_exponent
@@ -195,3 +206,149 @@ def gw_p2(d: int) -> int:
         )
     _P2_MEMO[d] = total
     return total
+
+
+# -- floor diagrams by a scan of every tree --------------------------------------
+
+def _prufer_tree(code, n):
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in code:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u = heapq.heappop(leaves)
+    w = heapq.heappop(leaves)
+    edges.append((min(u, w), max(u, w)))
+    return tuple(sorted(edges))
+
+
+def _spanning_trees(n: int) -> Iterator[tuple]:
+    if n == 1:
+        yield ()
+    elif n == 2:
+        yield ((0, 1),)
+    else:
+        for code in itertools.product(range(n), repeat=n - 2):
+            yield _prufer_tree(code, n)
+
+
+def _weightings(tree, divs, d_b, d_t, step) -> Iterator[tuple]:
+    """Assign edge weights 1, 1 + step, ...; yield (weights, t) with
+    t_j = dn_j - up_j required."""
+    n = len(divs)
+    below = defaultdict(list)   # upper floor -> edge indices
+    above = defaultdict(list)   # lower floor -> edge indices
+    for idx, (i, j) in enumerate(tree):
+        below[j].append(idx)
+        above[i].append(idx)
+    wmax = d_b + d_t + sum(abs(v) for v in divs)
+    weights = [0] * len(tree)
+    t = [0] * n
+
+    def walk(floor, need_dn, need_up):
+        if floor < 0:
+            yield tuple(weights), tuple(t)
+            return
+        todo = below[floor]
+
+        def assign(pos):
+            if pos == len(todo):
+                tj = divs[floor]
+                tj -= sum(weights[idx] for idx in below[floor])
+                tj += sum(weights[idx] for idx in above[floor])
+                t[floor] = tj
+                nd = need_dn + max(tj, 0)
+                nu = need_up + max(-tj, 0)
+                if nd <= d_b and nu <= d_t:
+                    yield from walk(floor - 1, nd, nu)
+                return
+            for w in range(1, wmax + 1, step):
+                weights[todo[pos]] = w
+                yield from assign(pos + 1)
+
+        yield from assign(0)
+
+    yield from walk(n - 1, 0, 0)
+
+
+def marking_count_dp(n_floors: int, items) -> int:
+    """Count admissible total orders of marked objects around the floor chain.
+
+    items: (lo, hi, count) groups of identical objects, each to be placed in
+    one of the gaps lo..hi between consecutive floors (gap g precedes floor
+    g; gap n_floors is above every floor).
+    """
+    arrivals = defaultdict(lambda: defaultdict(int))
+    denom = 1
+    for lo, hi, c in items:
+        if c:
+            arrivals[lo][hi] += c
+            denom *= factorial(c)
+    states = {(): 1}
+    for g in range(n_floors + 1):
+        incoming = arrivals.get(g, {})
+        nxt = defaultdict(int)
+        for state, ways in states.items():
+            pool = dict(state)
+            for hi, c in incoming.items():
+                pool[hi] = pool.get(hi, 0) + c
+            must = pool.pop(g, 0)
+            hs = sorted(pool)
+
+            def place(idx, taken, chosen, rem):
+                if idx == len(hs):
+                    nxt[tuple(sorted(rem.items()))] += ways * chosen * factorial(taken)
+                    return
+                h = hs[idx]
+                avail = pool[h]
+                for take in range(avail + 1):
+                    if take:
+                        rem[h] = avail - take
+                        if rem[h] == 0:
+                            del rem[h]
+                    else:
+                        rem[h] = avail
+                    place(idx + 1, taken + take, chosen * comb(avail, take), rem)
+                rem[h] = avail
+
+            place(0, must, 1, dict(pool))
+        states = nxt
+    total = states.get((), 0)
+    assert total % denom == 0
+    return total // denom
+
+
+def enumerate_diagrams_scan(pc: PolygonClass, real: bool = False) -> Iterator[FloorDiagram]:
+    """All connected genus-0 marked floor diagrams of the polygon.
+
+    With ``real=True`` only the diagrams whose bounded elevators all have odd
+    weight, the ones with nonzero real multiplicity, in the same order.
+    """
+    n = pc.height
+    if n == 0:
+        raise DegeneratePolygonError(f"{pc.surface_id}{pc.class_vec}: zero height")
+    for divs, deco in _divergence_patterns(pc):
+        for tree in _spanning_trees(n):
+            for weights, t in _weightings(tree, divs, pc.d_b, pc.d_t, 2 if real else 1):
+                need_dn = sum(max(v, 0) for v in t)
+                need_up = sum(max(-v, 0) for v in t)
+                slack = pc.d_b - need_dn
+                if slack < 0 or pc.d_t - need_up != slack:
+                    continue
+                for extra in _compositions(slack, n):
+                    down = tuple(max(v, 0) + x for v, x in zip(t, extra))
+                    up = tuple(max(-v, 0) + x for v, x in zip(t, extra))
+                    edges = tuple((i, j, w) for (i, j), w in zip(tree, weights))
+                    items = [(i + 1, j, 1) for i, j, _ in edges]
+                    items += [(0, f, down[f]) for f in range(n)]
+                    items += [(f + 1, n, up[f]) for f in range(n)]
+                    nu = marking_count_dp(n, items)
+                    if nu:
+                        yield FloorDiagram(n, divs, edges, down, up, nu, deco)

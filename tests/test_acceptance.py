@@ -88,7 +88,7 @@ def test_criterion_2_backends_agree():
         classes += [("qx2", (a, b, al, be)) for a in range(7) for b in range(7)
                     for al in range(min(a, b) + 1) for be in range(min(a, b) + 1)]
         for surf, cls in classes:
-            if constraint_count(SURFACES[surf], cls) > 11:
+            if constraint_count(SURFACES[surf], cls) > 12:
                 continue
             try:
                 pc = polygon_of(surf, cls)
@@ -108,7 +108,7 @@ def test_criterion_3_w_deg7_totally_real():
 
 
 def test_criterion_4_w_deg6_totally_real():
-    with criterion(4, "totally real row of the standard product family", 120):
+    with criterion(4, "totally real row of the standard product family", 30):
         store = Store(cache_dir=None)
         for cls, want in TABLE4_L0.items():
             got = w_threefold(WelschingerQuery("deg6", cls, 0), store)

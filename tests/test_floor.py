@@ -3,8 +3,10 @@ from collections import Counter
 from math import factorial, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import gw_p2
+from oracles import enumerate_diagrams_scan, gw_p2, marking_count_dp
 from pezzo.errors import DegeneratePolygonError, DomainError
 from pezzo.floor import (
     _marking_count,
@@ -40,6 +42,9 @@ def test_polygon_degenerate():
         polygon_of("qx2", (0, 0, 0, -1))
     with pytest.raises(DomainError):
         polygon_of("p2x1", (3, 1))
+    for token in ("qx2t", "nope"):  # not a surface of the lattice
+        with pytest.raises(DomainError, match=f"no Newton polygon for surface '{token}'"):
+            polygon_of(token, (1, 0, 1))
 
 
 def test_marked_points_match_constraints():
@@ -152,6 +157,36 @@ def test_real_count_equals_full_enumeration_oracle():
     assert checked > 250
 
 
+def _same_as_scan(pc):
+    for real in (False, True):
+        live = [diag.dump_line() for diag in enumerate_diagrams(pc, real=real)]
+        scan = [diag.dump_line() for diag in enumerate_diagrams_scan(pc, real=real)]
+        assert live == scan, (pc.surface_id, pc.class_vec, real)
+
+
+def test_enumeration_equals_tree_scan_oracle():
+    # the floor-by-floor build yields the scan's diagrams in the scan's order
+    for pc in _oracle_sweep():
+        _same_as_scan(pc)
+
+
+@st.composite
+def _small_polygons(draw):
+    surface = draw(st.sampled_from(["p2", "q", "qx1", "qx2"]))
+    if surface == "p2":
+        return polygon_of("p2", (draw(st.integers(1, 4)),))
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    assume(a + b > 0)
+    cuts = [draw(st.integers(0, min(a, b))) for _ in range(SURFACES[surface].rank - 2)]
+    return polygon_of(surface, (a, b, *cuts))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_small_polygons())
+def test_enumeration_equals_tree_scan_on_random_polygons(pc):
+    _same_as_scan(pc)
+
+
 def test_real_enumeration_is_the_odd_weight_subset():
     for surface, cls in (("p2", (4,)), ("q", (2, 3)), ("qx1", (2, 3, 1)),
                          ("qx2", (3, 3, 1, 2))):
@@ -217,6 +252,23 @@ def test_marking_count_against_brute_force():
             assert diag.markings == _brute_markings(n, items)
             checked += 1
     assert checked > 20
+
+
+@st.composite
+def _marking_items(draw):
+    n = draw(st.integers(1, 4))
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo = draw(st.integers(0, n))
+        items.append((lo, draw(st.integers(lo, n)), draw(st.integers(0, 3))))
+    return n, items
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_marking_items())
+def test_marking_count_equals_dp_oracle(case):
+    n, items = case
+    assert _marking_count(n, items) == marking_count_dp(n, items) == _brute_markings(n, items)
 
 
 def test_backend_equivalence_extended():
