@@ -85,10 +85,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _dump_diagrams(surface: str, cls: tuple, out) -> None:
-    pc = floor.polygon_of(surface, cls)
-    for diag in floor.enumerate_diagrams(pc):
+def _dump_diagrams(surface: str, cls: tuple, out) -> int:
+    # returns the sum fd_count_complex takes, so the count needs no second pass
+    total = 0
+    for diag in floor.enumerate_diagrams(floor.polygon_of(surface, cls)):
         print(diag.dump_line(), file=out)
+        total += diag.decorations * diag.markings * diag.complex_multiplicity()
+    return total
 
 
 def _run(args, out) -> int:
@@ -110,9 +113,7 @@ def _run(args, out) -> int:
     if args.command == "gw2":
         cls = _parse_class(args.cls)
         if args.dump_diagrams:
-            _dump_diagrams(args.surface, cls, out)
-            pc = floor.polygon_of(args.surface, cls)
-            print(floor.fd_count_complex(pc), file=out)
+            print(_dump_diagrams(args.surface, cls, out), file=out)
         else:
             print(gw_surface(args.surface, cls), file=out)
         return 0

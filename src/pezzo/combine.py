@@ -17,7 +17,7 @@ from operator import add
 
 from .errors import CacheError, DataUnavailableError, DomainError, ParityError, WQueryError
 from .gw import gw_surface
-from .lattice import DEG6, FAMILIES, ThreefoldFamily, constraint_count, fiber, pair
+from .lattice import DEG6, FAMILIES, ThreefoldFamily, constraint_count, fiber
 from .store import InvariantKey, Store, space_rank, w_conflict
 
 
@@ -67,13 +67,13 @@ def gw_threefold(family, d) -> int:
             "complex counts are real-structure independent; query deg6 instead"
         )
     d = _as_tuple(family, d)
-    surface = family.surface
+    members = fiber(family, d)
     total = 0
-    for member in fiber(family, d):
-        ds = pair(surface, member, surface.vanishing_cycle)
-        if ds == 0:
-            continue
-        total += ds * ds * gw_surface(surface, member)
+    for t, member in enumerate(members):
+        # D_t.S read off the fiber line, as in _closed_form
+        ds = len(members) - 1 - 2 * t
+        if ds:
+            total += ds * ds * gw_surface(family.surface, member)
     if total % 2:
         raise ParityError(f"fiber sum for {family.id}{d} is odd: {total}")
     return total // 2

@@ -1,58 +1,50 @@
 """Genus-0 Gromov-Witten counts for the plane, its blow-ups, and quadric models.
 
 ``gw_blowup_p2`` is a four-point associativity recursion on the thrice-blown
-plane, seeded with the rigid low-constraint classes, and the only complex
-backend ``gw_surface`` runs.  It is checked against the floor diagrams of
-``pezzo.floor`` and against the classical plane recursion, which the test
-suite keeps as an oracle (``tests/oracles.py``).
+plane (Kontsevich-Manin), seeded with the rigid low-constraint classes, and
+the only complex backend ``gw_surface`` runs.  It first maps a class under
+the quadratic Cremona map, an automorphism of the surface
+(Goettsche-Pandharipande), until its multiplicities sum to at most its
+degree, so one computation serves a whole orbit; it then visits only the
+splittings whose two halves can be nonzero, each with its swap.  It is
+checked against the floor diagrams of ``pezzo.floor``, the classical plane
+recursion and the unreduced recursion over every splitting; the test suite
+keeps the last two as oracles (``tests/oracles.py``).
 
 ``gw_surface`` is a change of basis (``quadric_coords``, ``quadric_to_plane``)
 and keeps no cache: the one memo is ``_BLOWUP_MEMO``, the recursion's own
-table, which a miss fills bottom-up from ``_SHALLOW``.  All arithmetic is exact.
+table, keyed on the reduced class.  A miss at the public entry first fills,
+bottom-up, every reduced class of degree 1..d whose multiplicities are at
+most the largest one of the class asked for.  The halves of each such class
+reduce into the same box at a lower degree, so no call recurses more than
+one splitting deep and no starting degree has to be chosen: the fill from a
+fixed degree up (``_SHALLOW``), which the unreduced recursion needs to keep
+its stack shallow, is gone.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import Sequence
 
 from .errors import DomainError
-from .lattice import SURFACES, SurfaceLattice, monodromy, quadric_coords, quadric_to_plane
-
-def _binom(n: int, k: int) -> int:
-    # comb with out-of-range indices flattened to 0
-    if k < 0 or k > n or n < 0:
-        return 0
-    return comb(n, k)
-
+from .lattice import QX2, SURFACES, SurfaceLattice, monodromy, quadric_coords, quadric_to_plane
 
 # -- blown-up plane ----------------------------------------------------------
 
-def _k(d: int, m: tuple) -> int:
-    # constraint count 3d - sum(m) - 1
-    return 3 * d - sum(m) - 1
-
-
-def _g(d: int, m: tuple) -> int:
-    # arithmetic genus (d-1)(d-2)/2 - sum mi(mi-1)/2
-    return (d - 1) * (d - 2) // 2 - sum(mi * (mi - 1) // 2 for mi in m)
-
-
-def _pair(c1: tuple, c2: tuple) -> int:
-    return c1[0] * c2[0] - sum(a * b for a, b in zip(c1[1:], c2[1:]))
-
-
-_SEEDS = {(1, (0, 0, 0)): 1, (1, (1, 0, 0)): 1, (2, (1, 1, 1)): 1}
-
-# plain dicts act as atomic get-or-compute maps under the interpreter lock;
-# concurrent table generation may recompute a value, which is benign
-_BLOWUP_MEMO: dict = {}
-# the public entry fills the degrees from here up before it recurses: a miss
-# below this degree costs two frames per degree, so no call goes deeper than
-# about 2 * _SHALLOW frames, and the small classes every table asks for pay
-# no fill
-_SHALLOW = 32
+# (d, a1, a2, a3) -> count.  A computed value is stored under every
+# permutation of its reduced class (``_reduce``) and under each key asked
+# for, so a lookup needs no sort.  The seeds are the reduced classes with
+# fewer than three constraints, (1; 0, 0, 0) and (1; 1, 0, 0), and the
+# classes that the zero tests of _reduce would wrongly reject: the
+# exceptional curves and the lines (1; 1, 1, 0).  Plain dicts act as atomic
+# get-or-compute maps under the interpreter lock; concurrent table
+# generation may recompute a value, which is benign.
+_BLOWUP_MEMO: dict = {
+    (d, *m): 1
+    for d, base in ((0, (0, 0, -1)), (1, (0, 0, 0)), (1, (1, 0, 0)), (1, (1, 1, 0)))
+    for m in set(itertools.permutations(base))
+}
 
 
 def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
@@ -61,62 +53,105 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
 
     Returns 0 for classes outside the supported shape, never raises.
     """
-    return _count(int(d), int(a1), int(a2), int(a3), fill=True)
-
-
-def _count(d: int, a1: int, a2: int, a3: int, fill: bool = False) -> int:
-    # gw_blowup_p2 on ints; the recursion's own calls leave fill off
-    m = tuple(sorted((a1, a2, a3), reverse=True))
-    if d < 0:
-        return 0
-    if d == 0:
-        # only the exceptional classes themselves are counted
-        return 1 if m == (0, 0, -1) else 0
-    if m[-1] < 0:
-        return 0
-    if d == 1 and m == (1, 1, 0):
-        return 1
-    if m[0] + m[1] > d:
-        return 0
-    if _k(d, m) < 0 or _g(d, m) < 0:
-        return 0
-    if fill and (d, m) not in _BLOWUP_MEMO:
-        # public entry only, after the checks: fill from _SHALLOW up first
-        for lower in range(_SHALLOW, d):
-            for b in itertools.product(*(range(x + 1) for x in m)):
-                _count(lower, *b)
-    return _gw_blowup(d, m)
-
-
-def _gw_blowup(d: int, m: tuple) -> int:
-    known = _BLOWUP_MEMO.get((d, m))
-    if known is not None:
-        return known
-    k = _k(d, m)
-    if k < 3:
-        value = _SEEDS.get((d, m), 0)
-        _BLOWUP_MEMO[(d, m)] = value
+    key = (int(d), int(a1), int(a2), int(a3))
+    value = _BLOWUP_MEMO.get(key)
+    if value is not None:
         return value
-    # four-point associativity, paired against two line classes: splittings
-    # with an exceptional half drop out (degree factors and binomial range).
+    reduced = _reduce(*key)
+    if reduced is not None and reduced not in _BLOWUP_MEMO:
+        # the fill of the module docstring, degree by degree
+        for e in range(1, reduced[0] + 1):
+            for m in itertools.combinations_with_replacement(range(min(reduced[1], e), -1, -1), 3):
+                if (e, *m) not in _BLOWUP_MEMO and _reduce(e, *m) == (e, *m):
+                    _gw_blowup(e, *m)
+    return _count(*key)
+
+
+def _reduce(d: int, a1: int, a2: int, a3: int):
+    """None when an arithmetic test shows the count vanishes (a negative
+    entry, d <= 0, a negative constraint count or genus, or two
+    multiplicities above d); else the class, sorted, under the quadratic
+    Cremona map while the multiplicities sum past d.  The map
+    (d; a) -> (2d - sum a; d - a2 - a3, d - a1 - a3, d - a1 - a2) is an
+    automorphism of the surface, so it keeps the count, constraint count and
+    genus, and it keeps the pair test and the order of the sorted entries."""
+    a1, a2, a3 = sorted((a1, a2, a3), reverse=True)
+    if (d <= 0 or a3 < 0 or a1 + a2 > d or a1 + a2 + a3 >= 3 * d
+            or a1 * (a1 - 1) + a2 * (a2 - 1) + a3 * (a3 - 1) > (d - 1) * (d - 2)):
+        return None
+    while a1 + a2 + a3 > d:
+        d, a1, a2, a3 = 2 * d - a1 - a2 - a3, d - a2 - a3, d - a1 - a3, d - a1 - a2
+    return d, a1, a2, a3
+
+
+def _count(d: int, a1: int, a2: int, a3: int) -> int:
+    # gw_blowup_p2 on ints, memo first, once the fill has stored the
+    # reduced class: the public entry's own, or, for a half of a class being
+    # computed, the fill that class belongs to
+    key = (d, a1, a2, a3)
+    value = _BLOWUP_MEMO.get(key)
+    if value is None:
+        reduced = _reduce(d, a1, a2, a3)
+        if reduced is None:
+            return 0
+        value = _BLOWUP_MEMO[key] = _BLOWUP_MEMO[reduced]
+    return value
+
+
+def _gw_blowup(d: int, a1: int, a2: int, a3: int) -> int:
+    # four-point associativity on a reduced class, paired against two line
+    # classes (Kontsevich-Manin); splittings with an exceptional half drop
+    # out.  A splitting (d1; b) + (d2; a - b) and its swap share the one
+    # coefficient below, so only d1 <= d / 2 is visited.  Each bound on b
+    # is a zero test of a half: entries in 0..d_i, pair sums <= d_i (p_i
+    # lets the lines (1; 1, 1, 0) through) and constraint counts k1, k2 >= 0;
+    # the genus tests (g_i is twice the bound) come before any lookup.
+    k = 3 * d - a1 - a2 - a3 - 1
+    # binom[j + 2] = comb(k - 3, j) for j in -2..k - 1, zero out of range
+    row = itertools.accumulate(range(k - 3), lambda c, j: c * (k - 3 - j) // (j + 1), initial=1)
+    binom = [0, 0, *row, 0, 0]
     total = 0
-    a1, a2, a3 = m
-    for d1 in range(1, d):
+    for d1 in range(1, d // 2 + 1):
         d2 = d - d1
-        for b1 in range(a1 + 1):
-            for b2 in range(a2 + 1):
-                for b3 in range(a3 + 1):
-                    n1 = _count(d1, b1, b2, b3)
-                    if n1 == 0:
+        p1, p2 = d1 + (d1 == 1), d2 + (d2 == 1)
+        g1, g2 = (d1 - 1) * (d1 - 2), (d2 - 1) * (d2 - 2)
+        lo1, lo2, lo3 = max(0, a1 - d2), max(0, a2 - d2), max(0, a3 - d2)
+        hi1, hi2, hi3 = min(a1, d1), min(a2, d1), min(a3, d1)
+        # sum(b) within the box, with k1 = 3 d1 - 1 - sum(b) in 0..k - 1
+        s_lo, s_hi = max(lo1 + lo2 + lo3, 3 * d1 - k), min(hi1 + hi2 + hi3, 3 * d1 - 1)
+        coeffs = {}
+        for s in range(s_lo, s_hi + 1):
+            k1 = 3 * d1 - 1 - s
+            c = d1 * d2 * binom[k1 + 1] - d1 * d1 * binom[k1 + 2]
+            if d1 < d2:
+                c += d1 * d2 * binom[k1 + 1] - d2 * d2 * binom[k1]
+            coeffs[s] = c
+        for b1 in range(lo1, hi1 + 1):
+            c1 = a1 - b1
+            for b2 in range(max(lo2, a1 + a2 - p2 - b1), min(hi2, p1 - b1) + 1):
+                c2 = a2 - b2
+                t1 = b1 * (b1 - 1) + b2 * (b2 - 1)
+                t2 = c1 * (c1 - 1) + c2 * (c2 - 1)
+                lo = max(lo3, a1 + a3 - p2 - b1, a2 + a3 - p2 - b2, s_lo - b1 - b2)
+                hi = min(hi3, p1 - b1, p1 - b2, s_hi - b1 - b2)
+                for b3 in range(lo, hi + 1):
+                    c3 = a3 - b3
+                    if t1 + b3 * (b3 - 1) > g1 or t2 + c3 * (c3 - 1) > g2:
                         continue
-                    n2 = _count(d2, a1 - b1, a2 - b2, a3 - b3)
-                    if n2 == 0:
+                    coeff = coeffs[b1 + b2 + b3]
+                    if not coeff:
                         continue
-                    k1 = _k(d1, (b1, b2, b3))
-                    dot = _pair((d1, b1, b2, b3), (d2, a1 - b1, a2 - b2, a3 - b3))
-                    coeff = d1 * d2 * _binom(k - 3, k1 - 1) - d1 * d1 * _binom(k - 3, k1)
-                    total += n1 * n2 * dot * coeff
-    _BLOWUP_MEMO[(d, m)] = total
+                    n1 = _BLOWUP_MEMO.get((d1, b1, b2, b3))
+                    if n1 is None:
+                        n1 = _count(d1, b1, b2, b3)
+                    if not n1:
+                        continue
+                    n2 = _BLOWUP_MEMO.get((d2, c1, c2, c3))
+                    if n2 is None:
+                        n2 = _count(d2, c1, c2, c3)
+                    total += n1 * n2 * (d1 * d2 - b1 * c1 - b2 * c2 - b3 * c3) * coeff
+    for m in itertools.permutations((a1, a2, a3)):
+        _BLOWUP_MEMO[(d, *m)] = total
     return total
 
 
@@ -137,7 +172,7 @@ def gw_surface(lattice, d: Sequence[int]) -> int:
     if surface_id not in SURFACES:
         raise DomainError(f"unsupported surface {surface_id!r}")
     lattice = SURFACES[surface_id]
-    d = lattice.check(d)
     if lattice.side == "p2":
-        return gw_blowup_p2(*d)
-    return gw_blowup_p2(*quadric_to_plane(quadric_coords(lattice, d)))
+        return gw_blowup_p2(*lattice.check(d))
+    # quadric_to_plane checks a qx2 class itself
+    return gw_blowup_p2(*quadric_to_plane(d if lattice is QX2 else quadric_coords(lattice, d)))

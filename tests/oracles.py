@@ -15,7 +15,11 @@ must equal ``sign_exponent``.
 
 ``gw_p2`` is the classical recursion for plane rational curves, free of any
 blow-up machinery, against which ``pezzo.gw.gw_blowup_p2`` and the floor
-diagrams are checked.
+diagrams are checked.  ``gw_blowup_oracle`` is the blow-up recursion over
+every splitting, with no Cremona reduction and no pruning of the splittings;
+``pezzo.gw.gw_blowup_p2`` reduces each class under the Cremona map and
+visits only the splittings that can be nonzero, and must give the same
+values.
 
 ``enumerate_diagrams_scan`` finds the floor diagrams by scanning every
 spanning tree of the floors in Prüfer order and every weighting of it, and
@@ -206,6 +210,85 @@ def gw_p2(d: int) -> int:
         )
     _P2_MEMO[d] = total
     return total
+
+
+# -- blow-up recursion over every splitting ------------------------------------
+
+_BLOWUP_SEEDS = {(1, (0, 0, 0)): 1, (1, (1, 0, 0)): 1, (2, (1, 1, 1)): 1}
+_BLOWUP_ORACLE_MEMO: dict = {}
+# the public entry fills the degrees from here up before it recurses: a miss
+# below this degree costs two frames per degree
+_SHALLOW = 32
+
+
+def gw_blowup_oracle(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
+    """``pezzo.gw.gw_blowup_p2`` by the four-point associativity recursion
+    over every splitting (d1; b) + (d - d1; a - b), 0 < d1 < d, 0 <= b <= a,
+    keyed on the sorted class and with no Cremona reduction."""
+    return _blowup_count(int(d), int(a1), int(a2), int(a3), fill=True)
+
+
+def _blowup_k(d: int, m: tuple) -> int:
+    return 3 * d - sum(m) - 1
+
+
+def _blowup_count(d: int, a1: int, a2: int, a3: int, fill: bool = False) -> int:
+    m = tuple(sorted((a1, a2, a3), reverse=True))
+    if d < 0:
+        return 0
+    if d == 0:
+        # only the exceptional classes themselves are counted
+        return 1 if m == (0, 0, -1) else 0
+    if m[-1] < 0:
+        return 0
+    if d == 1 and m == (1, 1, 0):
+        return 1
+    if m[0] + m[1] > d:
+        return 0
+    genus = (d - 1) * (d - 2) // 2 - sum(mi * (mi - 1) // 2 for mi in m)
+    if _blowup_k(d, m) < 0 or genus < 0:
+        return 0
+    if fill and (d, m) not in _BLOWUP_ORACLE_MEMO:
+        for lower in range(_SHALLOW, d):
+            for b in itertools.product(*(range(x + 1) for x in m)):
+                _blowup_count(lower, *b)
+    return _blowup_recursion(d, m)
+
+
+def _blowup_recursion(d: int, m: tuple) -> int:
+    known = _BLOWUP_ORACLE_MEMO.get((d, m))
+    if known is not None:
+        return known
+    k = _blowup_k(d, m)
+    if k < 3:
+        value = _BLOWUP_SEEDS.get((d, m), 0)
+        _BLOWUP_ORACLE_MEMO[(d, m)] = value
+        return value
+    total = 0
+    a1, a2, a3 = m
+    for d1 in range(1, d):
+        d2 = d - d1
+        for b1 in range(a1 + 1):
+            for b2 in range(a2 + 1):
+                for b3 in range(a3 + 1):
+                    n1 = _blowup_count(d1, b1, b2, b3)
+                    if n1 == 0:
+                        continue
+                    n2 = _blowup_count(d2, a1 - b1, a2 - b2, a3 - b3)
+                    if n2 == 0:
+                        continue
+                    k1 = _blowup_k(d1, (b1, b2, b3))
+                    dot = d1 * d2 - b1 * (a1 - b1) - b2 * (a2 - b2) - b3 * (a3 - b3)
+                    coeff = d1 * d2 * _binom(k - 3, k1 - 1) - d1 * d1 * _binom(k - 3, k1)
+                    total += n1 * n2 * dot * coeff
+    _BLOWUP_ORACLE_MEMO[(d, m)] = total
+    return total
+
+
+def _binom(n: int, k: int) -> int:
+    if k < 0 or k > n or n < 0:
+        return 0
+    return comb(n, k)
 
 
 # -- floor diagrams by a scan of every tree --------------------------------------

@@ -1,10 +1,13 @@
+import hashlib
 import io
 import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+from pezzo import floor
 from pezzo.cli import main
 from pezzo.tables import gw_deg6_table
 
@@ -80,6 +83,38 @@ def test_dump_diagrams():
     lines = text.splitlines()
     assert lines[-1] == "1"
     assert lines[0].startswith("floors=2 ")
+
+
+def test_dump_diagrams_enumerates_once(monkeypatch):
+    calls = []
+    enumerate_diagrams = floor.enumerate_diagrams
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_diagrams(*args, **kwargs)
+
+    monkeypatch.setattr(floor, "enumerate_diagrams", counting)
+    floor.fd_count_complex.cache_clear()  # a cached count would hide a second pass
+    code, text = run(["gw2", "--surface", "qx2", "--class", "3,3,1,2", "--dump-diagrams"])
+    assert code == 0 and len(calls) == 1
+    # 31 diagrams, then their count 620, byte for byte as printed when the
+    # count took a second pass
+    assert text.splitlines()[-1] == "620"
+    assert hashlib.md5(text.encode()).hexdigest() == "fd01e9451201cc4e38bf6660dffa6a5e"
+
+
+def test_gw2_large_blowup_class_in_budget():
+    # the recursion over every splitting (tests/oracles.py) took 7-11 s on 2 vCPUs
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pezzo.cli", "gw2", "--surface", "p2x3", "--class", "24,7,7,7"],
+        capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (
+        0, "12610600368907269249977375895402133525029865990825433762131200\n"), proc.stderr
+    assert elapsed < 5, elapsed
 
 
 def test_usage_errors():

@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden import TABLE2
-from oracles import gw_p2
+from oracles import gw_blowup_oracle, gw_p2
 from pezzo.errors import DomainError
 from pezzo.gw import gw_blowup_p2, gw_surface
 from pezzo.lattice import SURFACES, monodromy
@@ -102,15 +104,52 @@ def test_multiplicity_one_absorbs_into_points():
         assert gw_blowup_p2(d, 1, 1, 1) == gw_p2(d)
 
 
+def _cremona(d, m):
+    # the quadratic Cremona map, an automorphism of the thrice-blown plane
+    return (2 * d - sum(m), d - m[1] - m[2], d - m[0] - m[2], d - m[0] - m[1])
+
+
 def test_cremona_symmetry():
-    # reflection in the lattice: standard consistency check, not table-pinned
+    # reflection in the lattice, checked on the oracle, which does not use it
     for d in range(1, 8):
         for m in itertools.product(range(4), repeat=3):
-            image_d = 2 * d - sum(m)
-            image = (d - m[1] - m[2], d - m[0] - m[2], d - m[0] - m[1])
-            if image_d < 0 or any(x < 0 for x in image):
+            image = _cremona(d, m)
+            if image[0] < 0 or any(x < 0 for x in image[1:]):
                 continue
-            assert gw_blowup_p2(d, *m) == gw_blowup_p2(image_d, *image), (d, m)
+            want = gw_blowup_oracle(d, *m)
+            assert gw_blowup_oracle(*image) == want, (d, m)
+            assert gw_blowup_p2(d, *m) == want, (d, m)
+
+
+def test_blowup_equals_oracle():
+    # every class with d <= 14 and multiplicities in -1..d+1, in every order
+    nonzero = 0
+    for d in range(15):
+        for m in itertools.combinations_with_replacement(range(-1, d + 2), 3):
+            want = gw_blowup_oracle(d, *m)
+            nonzero += want != 0
+            for perm in set(itertools.permutations(m)):
+                assert gw_blowup_p2(d, *perm) == want, (d, perm)
+    assert nonzero == 948
+
+
+@st.composite
+def _blowup_classes(draw):
+    d = draw(st.integers(0, 12))
+    return d, tuple(draw(st.integers(-1, d + 1)) for _ in range(3))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_blowup_classes(), st.permutations(range(3)))
+def test_blowup_cremona_and_permutation_property(cls, perm):
+    d, m = cls
+    want = gw_blowup_oracle(d, *m)
+    assert gw_blowup_oracle(d, *(m[i] for i in perm)) == want
+    image = _cremona(d, m)
+    # the oracle needs ~30 s to reach degree 24, the image of (12; 0, 0, 0)
+    if image[0] <= 14:
+        assert gw_blowup_oracle(*image) == want
+    assert gw_blowup_p2(d, *m) == want
 
 
 def test_gw_surface_table_values():
