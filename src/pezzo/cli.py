@@ -14,7 +14,7 @@ from .combine import WelschingerQuery, gw_threefold, w_threefold
 from .errors import DataUnavailableError, PezzoError
 from .gw import gw_surface
 from .lattice import FAMILIES, SURFACES
-from .store import Store, InvariantKey, clear_cache
+from .store import Store, InvariantKey, check_pairs, clear_cache
 from .tables import TABLES
 
 
@@ -123,15 +123,18 @@ def _run(args, out) -> int:
         return 0
     if args.command == "w2":
         cls = _parse_class(args.cls)
+        key = InvariantKey("W", args.surface, cls, args.pairs)
+        check_pairs(key.space, key.cls, key.pairs)
         if args.dump_diagrams and args.surface != "qx2t":
             _dump_diagrams(args.surface, cls, out)
-        key = InvariantKey("W", args.surface, cls, args.pairs)
         print(store.get_or_compute(key), file=out)
         return 0
     if args.command == "table":
         # each table takes one bound flag; the other two are ignored
         bound = {"w-deg7": "max_d", "w-deg6t": "max_a"}.get(args.kind, "max_sum")
-        kwargs = {"fmt": args.fmt, "store": store}
+        kwargs = {"fmt": args.fmt}
+        if args.kind != "gw-deg6":  # the real tables read the store
+            kwargs["store"] = store
         if getattr(args, bound) is not None:
             kwargs[bound] = getattr(args, bound)
         text, missing = TABLES[args.kind](**kwargs)

@@ -2,12 +2,13 @@
 
 The complex count of a threefold class is half the sum of (D.S)^2-weighted
 surface counts over the fiber of classes pushing onto it.  The real count
-replaces the weight by a signed |D.S| and Welschinger surface inputs.  It is
-evaluated, as the only real path, through closed forms with one member per
-monodromy pair, read off the family's line (``ThreefoldFamily.line``).  The
-test suite checks them against the full-fiber sum signed member by member
-by ``pezzo.signs.sign_exponent``, and checks that sign against the paper's
-three-term sign calculus; both references are in ``tests/oracles.py``.
+replaces the weight by a signed |D.S| and Welschinger surface inputs.  Both
+are evaluated on one member per monodromy pair, read off the family's line
+(``ThreefoldFamily.line``); the real one, as its only path, through closed
+forms.  The test suite checks these against the full-fiber sums, the real
+one signed member by member by ``pezzo.signs.sign_exponent``, and checks
+that sign against the paper's three-term sign calculus; both references are
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .errors import CacheError, DataUnavailableError, DomainError, ParityError, WQueryError
+from .errors import CacheError, DataUnavailableError, DomainError
 from .gw import gw_surface
 from .lattice import DEG6, FAMILIES, ThreefoldFamily, constraint_count, fiber
-from .store import InvariantKey, Store, space_rank, w_conflict
+from .store import InvariantKey, Store, check_pairs, space_rank, w_conflict
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,8 @@ class WelschingerQuery:
     def __post_init__(self):
         if self.family_id not in FAMILIES:
             raise DomainError(f"unknown family {self.family_id!r}")
-        family = FAMILIES[self.family_id]
-        d = _as_tuple(family, self.cls)
-        k_d = constraint_count(family, d)
-        if not 0 <= self.pairs <= (k_d - 1) // 2:
-            raise WQueryError(
-                f"{family.id}{d}: pairs {self.pairs} outside 0..{max((k_d - 1) // 2, -1)}"
-                " (at least one real point is required)"
-            )
+        d = _as_tuple(FAMILIES[self.family_id], self.cls)
+        check_pairs(self.family_id, d, self.pairs)
         object.__setattr__(self, "cls", d)
 
 
@@ -66,17 +61,12 @@ def gw_threefold(family, d) -> int:
         raise DomainError(
             "complex counts are real-structure independent; query deg6 instead"
         )
-    d = _as_tuple(family, d)
-    members = fiber(family, d)
-    total = 0
-    for t, member in enumerate(members):
-        # D_t.S read off the fiber line, as in _closed_form
-        ds = len(members) - 1 - 2 * t
-        if ds:
-            total += ds * ds * gw_surface(family.surface, member)
-    if total % 2:
-        raise ParityError(f"fiber sum for {family.id}{d} is odd: {total}")
-    return total // 2
+    members = fiber(family, _as_tuple(family, d))
+    # one member per monodromy pair, as in _closed_form: D_t and its image
+    # D_{length-1-t} count the same, with D_t.S = length - 1 - 2t
+    n = len(members)
+    return sum((n - 1 - 2 * t) ** 2 * gw_surface(family.surface, members[t])
+               for t in range(n // 2))
 
 
 def gw_vanishes_a_priori(family, d) -> bool:
@@ -85,8 +75,7 @@ def gw_vanishes_a_priori(family, d) -> bool:
     family = _family(family)
     if family.id != "deg6":
         raise DomainError("support predicate applies to deg6 coordinates")
-    a, b, c = sorted(_as_tuple(family, d), reverse=True)
-    return a + b + c > 1 and a >= b + c
+    return _unsupported(*_as_tuple(family, d))
 
 
 def w_vanishes_a_priori(family, d) -> bool:
@@ -101,9 +90,12 @@ def _line_vanishes(family: ThreefoldFamily, line) -> bool:
         return True
     if family.surface is not DEG6.surface:
         return False
-    # gw_vanishes_a_priori's support rule on D_0's image (a, b, c), inline: w3 hot path
-    a, b, alpha, beta = line[0]
-    c = a + b - alpha - beta
+    a, b, alpha, beta = line[0]  # D_0, with image (a, b, a + b - alpha - beta)
+    return _unsupported(a, b, a + b - alpha - beta)
+
+
+def _unsupported(a: int, b: int, c: int) -> bool:
+    # the support rule: one coordinate at least the sum of the other two
     return a + b + c > 1 and 2 * max(a, b, c) >= a + b + c
 
 

@@ -18,11 +18,11 @@ real count enumerates odd elevator weights only and never builds a diagram
 with an even weight.  Trees are built floor by floor from the top, so one
 that admits no weighting is never visited; both counts and ``--dump-diagrams``
 get the diagrams ordered by the tree's Prüfer code, then by the weights.
+Neither count is cached here: the store keeps each value it computes.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
@@ -307,17 +307,12 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
                     yield FloorDiagram(n, divs, edges, down, up, nu, deco)
 
 
-# Both counts are cached per polygon, shared by every Store in the process.
-# Without them the test suite ran 66 s instead of 30 s on a 2-vCPU host: the
-# two fiber-sum property suites went from under 0.3 s to 17-21 s each.
-@functools.cache
 def fd_count_complex(pc: PolygonClass) -> int:
     """Sum of w^2-weighted marked diagrams; equals the surface count."""
     return sum(d.decorations * d.markings * d.complex_multiplicity()
                for d in enumerate_diagrams(pc))
 
 
-@functools.cache  # cross-store, as above
 def fd_count_real_l0(pc: PolygonClass) -> int:
     """Signed diagram count for a totally real point configuration."""
     return sum(d.decorations * d.markings * d.real_multiplicity()

@@ -10,15 +10,15 @@ Class vectors are plain tuples of ints.  Two coordinate families are used:
   writes the first two as qx2 classes with zero cuts.
 
 Exceptional multiplicities are stored positively: the tuple entry ``alpha``
-stands for the coefficient of ``-E1``.  The Gram matrices below carry the
-corresponding signs.
+stands for the coefficient of ``-E1``.  ``pair`` carries the corresponding
+signs, so ``side`` and ``rank`` fix every form of a surface lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from operator import add
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, ParityError, RankMismatchError, UnsupportedLatticeError
@@ -27,21 +27,11 @@ ClassVector = tuple  # tuple of ints, length = lattice rank
 
 
 def _vec(v: Sequence[int]) -> ClassVector:
-    return tuple(int(x) for x in v)
+    return tuple(map(int, v))
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
-    """Intersection lattice of one of the seven supported surfaces."""
-
-    id: str
-    rank: int
-    gram: tuple            # rank x rank, tuple of tuples
-    canonical: ClassVector
-    vanishing_cycle: Optional[ClassVector] = None
-    ref_class: Optional[ClassVector] = None
-    blowups: int = 0
-    side: str = "p2"       # "p2" or "q": which minimal model the basis refines
+class _Ranked:
+    """Both records: ``check`` makes a class a tuple of ints of their rank."""
 
     def check(self, d: Sequence[int]) -> ClassVector:
         d = _vec(d)
@@ -51,9 +41,26 @@ class SurfaceLattice:
             )
         return d
 
-    @property
-    def anticanonical(self) -> ClassVector:
-        return tuple(-x for x in self.canonical)
+
+@dataclass(frozen=True)
+class SurfaceLattice(_Ranked):
+    """Intersection lattice of one of the seven supported surfaces.  ``side``
+    names the minimal model the basis refines, "p2" (L^2 = 1) or "q"
+    (L1.L2 = 1); the other basis vectors are exceptional (E^2 = -1)."""
+
+    id: str
+    rank: int
+    side: str
+    vanishing_cycle: Optional[ClassVector] = None
+    canonical: ClassVector = field(init=False)
+    anticanonical: ClassVector = field(init=False)
+    blowups: int = field(init=False)
+
+    def __post_init__(self):
+        head = (3,) if self.side == "p2" else (2, 2)
+        object.__setattr__(self, "blowups", self.rank - len(head))
+        object.__setattr__(self, "anticanonical", head + (1,) * self.blowups)
+        object.__setattr__(self, "canonical", tuple(-x for x in self.anticanonical))
 
     @property
     def degree(self) -> int:
@@ -61,7 +68,7 @@ class SurfaceLattice:
 
 
 @dataclass(frozen=True)
-class ThreefoldFamily:
+class ThreefoldFamily(_Ranked):
     """One of the four (real) threefold settings handled by the engine.
 
     ``line(d)`` is None when the fiber over d is empty, else (D_0, length,
@@ -70,62 +77,21 @@ class ThreefoldFamily:
     """
 
     id: str
-    h2_rank: int
+    rank: int                # of H_2 of the threefold
     surface: SurfaceLattice
-    psi_matrix: tuple        # h2_rank x surface.rank
+    psi_matrix: tuple        # rank x surface.rank
     c1_row: tuple            # pairing of c1 with a class tuple
     member_space: str
     line: Callable           # d -> None or (D_0, length, sign base)
 
-    def check(self, d: Sequence[int]) -> ClassVector:
-        d = _vec(d)
-        if len(d) != self.h2_rank:
-            raise RankMismatchError(
-                f"{self.id}: expected rank {self.h2_rank}, got vector of length {len(d)}"
-            )
-        return d
 
-
-def _diag_gram(rank: int) -> tuple:
-    # plane side: L^2 = 1, Fi^2 = -1, stored multiplicities positive
-    return tuple(
-        tuple((1 if i == j == 0 else -1 if i == j else 0) for j in range(rank))
-        for i in range(rank)
-    )
-
-
-def _q_gram(rank: int) -> tuple:
-    # quadric side: L1.L2 = 1, Ei^2 = -1, stored multiplicities positive
-    rows = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            if {i, j} == {0, 1}:
-                row.append(1)
-            elif i == j and i >= 2:
-                row.append(-1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-P2 = SurfaceLattice("p2", 1, ((1,),), (-3,), side="p2")
-P2X1 = SurfaceLattice("p2x1", 2, _diag_gram(2), (-3, -1), blowups=1, side="p2")
-P2X2 = SurfaceLattice("p2x2", 3, _diag_gram(3), (-3, -1, -1), blowups=2, side="p2")
-P2X3 = SurfaceLattice("p2x3", 4, _diag_gram(4), (-3, -1, -1, -1), blowups=3, side="p2")
-Q = SurfaceLattice(
-    "q", 2, _q_gram(2), (-2, -2),
-    vanishing_cycle=(1, -1), ref_class=(1, 0), side="q",
-)
-QX1 = SurfaceLattice(
-    "qx1", 3, _q_gram(3), (-2, -2, -1),
-    vanishing_cycle=(1, -1, 0), ref_class=(1, 0, 0), blowups=1, side="q",
-)
-QX2 = SurfaceLattice(
-    "qx2", 4, _q_gram(4), (-2, -2, -1, -1),
-    vanishing_cycle=(0, 0, 1, -1), ref_class=(0, 0, 0, -1), blowups=2, side="q",
-)
+P2 = SurfaceLattice("p2", 1, "p2")
+P2X1 = SurfaceLattice("p2x1", 2, "p2")
+P2X2 = SurfaceLattice("p2x2", 3, "p2")
+P2X3 = SurfaceLattice("p2x3", 4, "p2")
+Q = SurfaceLattice("q", 2, "q", (1, -1))
+QX1 = SurfaceLattice("qx1", 3, "q", (1, -1, 0))
+QX2 = SurfaceLattice("qx2", 4, "q", (0, 0, 1, -1))
 
 SURFACES = {s.id: s for s in (P2, P2X1, P2X2, P2X3, Q, QX1, QX2)}
 
@@ -162,11 +128,13 @@ FAMILIES = {f.id: f for f in (DEG8, DEG7, DEG6, DEG6T)}
 
 
 def pair(lattice: SurfaceLattice, d1: Sequence[int], d2: Sequence[int]) -> int:
-    """Intersection number of two classes, via the lattice Gram matrix."""
+    """Intersection number of two classes: d0 e0 - sum_{i>=1} di ei on the
+    plane side, d0 e1 + d1 e0 - sum_{i>=2} di ei on the quadric side."""
     d1 = lattice.check(d1)
     d2 = lattice.check(d2)
-    g = lattice.gram
-    return sum(d1[i] * g[i][j] * d2[j] for i in range(lattice.rank) for j in range(lattice.rank))
+    if lattice.side == "p2":
+        return d1[0] * d2[0] - sum(map(mul, d1[1:], d2[1:]))
+    return d1[0] * d2[1] + d1[1] * d2[0] - sum(map(mul, d1[2:], d2[2:]))
 
 
 def constraint_count(space, d: Sequence[int]) -> int:
@@ -175,8 +143,7 @@ def constraint_count(space, d: Sequence[int]) -> int:
     Surfaces: c1.D - 1.  Threefolds: c1.d / 2 (raises ParityError if odd).
     """
     if isinstance(space, SurfaceLattice):
-        d = space.check(d)
-        return pair(space, space.anticanonical, d) - 1
+        return pair(space, space.anticanonical, d) - 1  # pair checks d
     if isinstance(space, ThreefoldFamily):
         d = space.check(d)
         c1d = sum(c * x for c, x in zip(space.c1_row, d))

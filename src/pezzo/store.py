@@ -26,6 +26,8 @@ from .errors import (
     DataUnavailableError,
     DegeneratePolygonError,
     DomainError,
+    ParityError,
+    WQueryError,
 )
 from .lattice import FAMILIES, SURFACES, constraint_count
 
@@ -49,7 +51,7 @@ def space_rank(space: str) -> int:
     if space in SURFACES:
         return SURFACES[space].rank
     if space in FAMILIES:
-        return FAMILIES[space].h2_rank
+        return FAMILIES[space].rank
     if space == _TWISTED:
         return 3
     raise DomainError(f"unknown space token {space!r}")
@@ -95,6 +97,23 @@ class InvariantKey:
         return f"({self.kind} {self.space} ({cls}) l={self.pairs})"
 
 
+def check_pairs(space: str, cls: tuple, pairs: int) -> None:
+    """Raise WQueryError unless 0 <= pairs <= the bound of a W value of the
+    class: k_D // 2 on a surface, where a qx2t class (a, alpha, beta) is
+    (a, a; alpha, beta) on qx2, and (k_d - 1) // 2 on a threefold, which
+    keeps one real point (ParityError when c1.d is odd)."""
+    note = ""
+    if space in FAMILIES:
+        bound = (constraint_count(FAMILIES[space], cls) - 1) // 2
+        note = " (at least one real point is required)"
+    elif space == _TWISTED:
+        bound = constraint_count(SURFACES["qx2"], cls[:1] + cls) // 2
+    else:
+        bound = constraint_count(SURFACES[space], cls) // 2
+    if not 0 <= pairs <= bound:
+        raise WQueryError(f"{space}{cls}: pairs {pairs} outside 0..{max(bound, -1)}{note}")
+
+
 def _gw_of(space: str, cls: tuple) -> int:
     """Complex count behind a key, used for computation and validation."""
     if space in SURFACES:
@@ -109,20 +128,17 @@ def _gw_of(space: str, cls: tuple) -> int:
     return combine.gw_threefold(FAMILIES[space], cls)
 
 
-def _w_l0_surface(key: InvariantKey) -> int:
-    """Totally real count on a standard toric surface, via floor diagrams.
-
-    Classes with a degenerate polygon are either invisible (zero complex
-    count) or rigid smooth curves through no points, which count +1.
+def _w_l0_surface(key: InvariantKey, total: int) -> int:
+    """Totally real count on a standard toric surface, via floor diagrams,
+    of a class with nonzero complex count ``total``.  A class with a
+    degenerate polygon is a rigid smooth curve through no points: it
+    counts +1.
     """
     try:
         pc = floor.polygon_of(key.space, key.cls)
     except DomainError:  # no Newton polygon: a blown-up plane
         raise DataUnavailableError([key]) from None
     except DegeneratePolygonError:
-        total = gw.gw_surface(key.space, key.cls)
-        if total == 0:
-            return 0
         if total == 1 and constraint_count(SURFACES[key.space], key.cls) == 0:
             return 1
         raise
@@ -246,11 +262,12 @@ class Store:
             query = combine.WelschingerQuery(key.space, key.cls, key.pairs)
             return combine.w_threefold(query, store=self)
         # surface Welschinger: a vanishing complex count forces zero
-        if _gw_of(key.space, key.cls) == 0:
+        total = _gw_of(key.space, key.cls)
+        if total == 0:
             return 0
         if key.pairs:
             raise DataUnavailableError([key])
-        return _w_l0_surface(key)
+        return _w_l0_surface(key, total)
 
     # -- ingestion --------------------------------------------------------------
 
@@ -304,7 +321,9 @@ class Store:
                 continue
             try:
                 key = InvariantKey(kind, space, cls, 0 if kind == "GW" else pairs)
-            except DomainError as exc:
+                if kind == "W":
+                    check_pairs(space, key.cls, pairs)
+            except (DomainError, ParityError, WQueryError) as exc:
                 report.rejected.append((lineno, str(exc)))
                 continue
             reason = self._validate_row(key, value, pairs)

