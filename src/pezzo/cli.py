@@ -14,7 +14,7 @@ from .combine import WelschingerQuery, gw_threefold, w_threefold
 from .errors import DataUnavailableError, PezzoError
 from .gw import gw_surface
 from .lattice import FAMILIES, SURFACES
-from .store import Store, InvariantKey, check_pairs, clear_cache
+from .store import InvariantKey, Store, check_pairs, clear_cache, gw_of, served_w
 from .tables import TABLES
 
 
@@ -85,13 +85,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _dump_diagrams(surface: str, cls: tuple, out) -> int:
-    # returns the sum fd_count_complex takes, so the count needs no second pass
-    total = 0
+def _dump_diagrams(surface: str, cls: tuple, out) -> None:
     for diag in floor.enumerate_diagrams(floor.polygon_of(surface, cls)):
         print(diag.dump_line(), file=out)
-        total += diag.decorations * diag.markings * diag.complex_multiplicity()
-    return total
 
 
 def _run(args, out) -> int:
@@ -113,9 +109,8 @@ def _run(args, out) -> int:
     if args.command == "gw2":
         cls = _parse_class(args.cls)
         if args.dump_diagrams:
-            print(_dump_diagrams(args.surface, cls, out), file=out)
-        else:
-            print(gw_surface(args.surface, cls), file=out)
+            _dump_diagrams(args.surface, cls, out)
+        print(gw_surface(args.surface, cls), file=out)
         return 0
     if args.command == "w3":
         query = WelschingerQuery(args.family, _parse_class(args.cls), args.pairs)
@@ -127,7 +122,7 @@ def _run(args, out) -> int:
         check_pairs(key.space, key.cls, key.pairs)
         if args.dump_diagrams and args.surface != "qx2t":
             _dump_diagrams(args.surface, cls, out)
-        print(store.get_or_compute(key), file=out)
+        print(served_w(store, key, gw_of(key.space, key.cls)), file=out)
         return 0
     if args.command == "table":
         # each table takes one bound flag; the other two are ignored

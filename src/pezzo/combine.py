@@ -16,27 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .errors import CacheError, DataUnavailableError, DomainError
+from .errors import DataUnavailableError, DomainError
 from .gw import gw_surface
-from .lattice import DEG6, FAMILIES, ThreefoldFamily, constraint_count, fiber
-from .store import InvariantKey, Store, check_pairs, space_rank, w_conflict
+from .lattice import DEG6, FAMILIES, ThreefoldFamily, fiber
+from .store import InvariantKey, Store, check_pairs, served_w, space_rank
 
 
 @dataclass(frozen=True)
 class WelschingerQuery:
     """A checked query: a known family, a class of its rank with even c1.d
-    (kept as a tuple), and 0 <= pairs <= (k_d - 1) // 2."""
+    (kept as a tuple), and a pair count that ``check_pairs`` admits."""
 
     family_id: str
     cls: tuple
     pairs: int
 
     def __post_init__(self):
-        if self.family_id not in FAMILIES:
-            raise DomainError(f"unknown family {self.family_id!r}")
-        d = _as_tuple(FAMILIES[self.family_id], self.cls)
-        check_pairs(self.family_id, d, self.pairs)
-        object.__setattr__(self, "cls", d)
+        family = _family(self.family_id)
+        object.__setattr__(self, "family_id", family.id)
+        object.__setattr__(self, "cls", _as_tuple(family, self.cls))
+        check_pairs(family.id, self.cls, self.pairs)
 
 
 def _family(family) -> ThreefoldFamily:
@@ -124,8 +123,8 @@ def _closed_form(store: Store, family: ThreefoldFamily, line: tuple, pairs: int)
     ``w_vanishes_a_priori``: the first length // 2 members D_t of the line,
     one per monodromy pair, weigh (-1)^(t + base) D_t.S, where
     D_t.S = length - 1 - 2t.  Members whose complex count vanishes are
-    skipped without touching the store; a served W that ``w_conflict``
-    rejects raises CacheError."""
+    skipped without touching the store; each served W is checked by
+    ``served_w``."""
     member, length, base = line
     total = 0
     missing = []
@@ -137,15 +136,12 @@ def _closed_form(store: Store, family: ThreefoldFamily, line: tuple, pairs: int)
             continue
         key = _member_key(family.id, member, pairs)
         try:
-            w = store.get_or_compute(key)
+            w = served_w(store, key, gw)
         except DataUnavailableError as exc:
             for k in exc.keys:
                 if k not in missing:
                     missing.append(k)
             continue
-        reason = w_conflict(w, gw)
-        if reason:
-            raise CacheError(f"stored {key}: {reason}")
         # base may be negative: reduce the exponent so the power stays an int
         total += (-1) ** ((t + base) % 2) * (length - 1 - 2 * t) * w
     if missing:
@@ -153,10 +149,10 @@ def _closed_form(store: Store, family: ThreefoldFamily, line: tuple, pairs: int)
     return total
 
 
-def positivity_report(max_sum: int, store: Store, max_pairs: int = 0) -> list:
-    """Nonnegativity sweep for the standard-real product family: returns the
-    (class, pairs, value) triples that come out negative, plus the queries
-    with missing data (value None).  Informational only."""
+def positivity_report(max_sum: int, store: Store) -> list:
+    """Nonnegativity sweep for the standard-real product family at l = 0:
+    returns the (class, 0, value) triples that come out negative, plus the
+    queries with missing data (value None).  Informational only."""
     rows = []
     for a in range(1, max_sum + 1):
         for b in range(a + 1):
@@ -164,13 +160,11 @@ def positivity_report(max_sum: int, store: Store, max_pairs: int = 0) -> list:
                 d = (a, b, c)
                 if sum(d) > max_sum or w_vanishes_a_priori(DEG6, d):
                     continue
-                k_d = constraint_count(DEG6, d)
-                for l in range(min(max_pairs, (k_d - 1) // 2) + 1):
-                    try:
-                        value = w_threefold(WelschingerQuery("deg6", d, l), store)
-                    except DataUnavailableError:
-                        rows.append((d, l, None))
-                        continue
-                    if value < 0:
-                        rows.append((d, l, value))
+                try:
+                    value = w_threefold(WelschingerQuery("deg6", d, 0), store)
+                except DataUnavailableError:
+                    rows.append((d, 0, None))
+                    continue
+                if value < 0:
+                    rows.append((d, 0, value))
     return rows

@@ -23,9 +23,8 @@ class DomainError(PezzoError, ValueError):
 
 class DegeneratePolygonError(PezzoError, ValueError):
     """Corner cuts overlap or exceed the rectangle; no Newton polygon exists.
-
-    Callers translate this into a zero invariant.
-    """
+    The store counts a rigid class (k_D = 0, complex count 1) as +1 anyway;
+    ``--dump-diagrams`` exits 1."""
 
 
 class EvenPairingError(PezzoError, ValueError):

@@ -146,7 +146,7 @@ def constraint_count(space, d: Sequence[int]) -> int:
         return pair(space, space.anticanonical, d) - 1  # pair checks d
     if isinstance(space, ThreefoldFamily):
         d = space.check(d)
-        c1d = sum(c * x for c, x in zip(space.c1_row, d))
+        c1d = sum(map(mul, space.c1_row, d))
         if c1d % 2:
             raise ParityError(f"{space.id}: c1.d = {c1d} is odd")
         return c1d // 2

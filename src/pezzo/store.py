@@ -47,7 +47,6 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: none
 
 
 def space_rank(space: str) -> int:
-    space = _GW_ALIAS.get(space, space)
     if space in SURFACES:
         return SURFACES[space].rank
     if space in FAMILIES:
@@ -97,24 +96,27 @@ class InvariantKey:
         return f"({self.kind} {self.space} ({cls}) l={self.pairs})"
 
 
-def check_pairs(space: str, cls: tuple, pairs: int) -> None:
-    """Raise WQueryError unless 0 <= pairs <= the bound of a W value of the
-    class: k_D // 2 on a surface, where a qx2t class (a, alpha, beta) is
-    (a, a; alpha, beta) on qx2, and (k_d - 1) // 2 on a threefold, which
-    keeps one real point (ParityError when c1.d is odd)."""
-    note = ""
+def pair_bound(space: str, cls: tuple) -> int:
+    """Most conjugate pairs a W value of the class can carry (negative when
+    none fits): k_D // 2 on a surface, a qx2t class (a, alpha, beta) counted
+    as (a, a; alpha, beta) on qx2; on a threefold, k_d - 1 halved and rounded
+    down, so one real point stays (ParityError when c1.d is odd)."""
     if space in FAMILIES:
-        bound = (constraint_count(FAMILIES[space], cls) - 1) // 2
-        note = " (at least one real point is required)"
-    elif space == _TWISTED:
-        bound = constraint_count(SURFACES["qx2"], cls[:1] + cls) // 2
-    else:
-        bound = constraint_count(SURFACES[space], cls) // 2
+        return (constraint_count(FAMILIES[space], cls) - 1) // 2
+    if space == _TWISTED:
+        return constraint_count(SURFACES["qx2"], cls[:1] + cls) // 2
+    return constraint_count(SURFACES[space], cls) // 2
+
+
+def check_pairs(space: str, cls: tuple, pairs: int) -> None:
+    """Raise WQueryError unless 0 <= pairs <= ``pair_bound(space, cls)``."""
+    bound = pair_bound(space, cls)
     if not 0 <= pairs <= bound:
+        note = " (at least one real point is required)" if space in FAMILIES else ""
         raise WQueryError(f"{space}{cls}: pairs {pairs} outside 0..{max(bound, -1)}{note}")
 
 
-def _gw_of(space: str, cls: tuple) -> int:
+def gw_of(space: str, cls: tuple) -> int:
     """Complex count behind a key, used for computation and validation."""
     if space in SURFACES:
         return gw.gw_surface(space, cls)
@@ -222,7 +224,6 @@ class Store:
 
     def insert(self, key: InvariantKey, value: int, persist: bool = True) -> bool:
         """Insert an entry; False when it conflicts."""
-        value = int(value)
         with self._lock:
             old = self._data.get(key)
             if old is not None:
@@ -250,19 +251,18 @@ class Store:
             if known is not None:
                 return known
             value = self._compute(key)
-            self._data[key] = value
-            self._persist(key, value)
+            self.insert(key, value)
             return value
 
     def _compute(self, key: InvariantKey) -> int:
         if key.kind == "GW":
-            return _gw_of(key.space, key.cls)
+            return gw_of(key.space, key.cls)
         if key.space in FAMILIES:
             from . import combine
             query = combine.WelschingerQuery(key.space, key.cls, key.pairs)
             return combine.w_threefold(query, store=self)
         # surface Welschinger: a vanishing complex count forces zero
-        total = _gw_of(key.space, key.cls)
+        total = gw_of(key.space, key.cls)
         if total == 0:
             return 0
         if key.pairs:
@@ -316,19 +316,13 @@ class Store:
             if row_space != space_id:
                 report.rejected.append((lineno, f"space {row_space!r} != {space_id!r}"))
                 continue
-            if pairs < 0:
-                report.rejected.append((lineno, f"negative pair count {pairs}"))
-                continue
             try:
-                key = InvariantKey(kind, space, cls, 0 if kind == "GW" else pairs)
+                key = InvariantKey(kind, space, cls, pairs)
                 if kind == "W":
                     check_pairs(space, key.cls, pairs)
+                value = self._validate_row(key, value)
             except (DomainError, ParityError, WQueryError) as exc:
                 report.rejected.append((lineno, str(exc)))
-                continue
-            reason = self._validate_row(key, value, pairs)
-            if reason:
-                report.rejected.append((lineno, reason))
                 continue
             if not self.insert(key, value, persist=persist):
                 report.rejected.append(
@@ -340,21 +334,21 @@ class Store:
             raise CsvParseError(1, "missing header line")
         return report
 
-    def _validate_row(self, key: InvariantKey, token: str, pairs: int):
-        total = _gw_of(key.space, key.cls)
+    def _validate_row(self, key: InvariantKey, token: str) -> int:
+        """The value of a row's integer token; DomainError when it is not
+        the complex count (GW) or breaks ``w_conflict`` against it (W)."""
+        total = gw_of(key.space, key.cls)
         if len(token) > 4300 and token.isascii():
             digits = token.lstrip("+-").replace("_", "").lstrip("0")
             # then |value| >= 10 ** (len - 1) >= 2 ** (3 * (len - 1)) > total
             if 3 * (len(digits) - 1) >= total.bit_length():
-                return f"|{_short(digits)}| exceeds complex count {_short(total)}"
+                raise DomainError(f"|{_short(digits)}| exceeds complex count {_short(total)}")
         value = int(token)
-        if key.kind == "GW":
-            if pairs != 0:
-                return "complex-count rows must have l = 0"
-            if value != total:
-                return f"complex count is {_short(total)}, row says {_short(value)}"
-            return None
-        return w_conflict(value, total)
+        reason = w_conflict(value, total) if key.kind == "W" else (
+            value != total and f"complex count is {_short(total)}, row says {_short(value)}")
+        if reason:
+            raise DomainError(reason)
+        return value
 
 
 def w_conflict(value: int, total: int) -> Optional[str]:
@@ -364,6 +358,16 @@ def w_conflict(value: int, total: int) -> Optional[str]:
     if (value - total) % 2:
         return f"parity of {_short(value)} conflicts with complex count {_short(total)}"
     return None
+
+
+def served_w(store: Store, key: InvariantKey, total: int) -> int:
+    """``store.get_or_compute(key)`` for a W key whose complex count is
+    ``total``; CacheError when the served value breaks ``w_conflict``."""
+    w = store.get_or_compute(key)
+    reason = w_conflict(w, total)
+    if reason:
+        raise CacheError(f"stored {key}: {reason}")
+    return w
 
 
 def _short(number) -> str:

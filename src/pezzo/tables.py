@@ -17,8 +17,8 @@ from .combine import (
 )
 from .errors import DataUnavailableError
 from .gw import gw_surface
-from .lattice import FAMILIES, constraint_count, fiber
-from .store import Store
+from .lattice import FAMILIES, fiber
+from .store import Store, pair_bound
 
 
 def _md_table(header, rows) -> str:
@@ -67,8 +67,7 @@ def gw_deg6_table(max_sum: int = 12, fmt: str = "md") -> tuple:
 
 def _w_grid(family_id: str, columns, labels, store, fmt):
     """Shared grid builder: columns of classes, rows of pair counts."""
-    family = FAMILIES[family_id]
-    bounds = [(constraint_count(family, d) - 1) // 2 for d in columns]
+    bounds = [pair_bound(family_id, d) for d in columns]
     max_l = max(bounds, default=-1)
     missing = 0
     cells = {}

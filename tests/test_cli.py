@@ -9,6 +9,7 @@ import pytest
 
 from pezzo import floor
 from pezzo.cli import main
+from pezzo.gw import gw_surface
 from pezzo.tables import gw_deg6_table
 
 
@@ -83,6 +84,19 @@ def test_w3_rejects_stored_value_breaking_the_bound(tmp_path, capsys):
     assert run(["--cache-dir", str(cache), "w3", "--family", "deg8", "--class", "3"]) == (0, "-1\n")
 
 
+def test_w2_rejects_stored_value_breaking_the_bound(tmp_path, capsys):
+    # GW(q; 3,1) = GW(q; 1,3) = 1, so a stored W of 5 cannot be served
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "q.store").write_text("W,3,1,0,5\n", encoding="utf-8")
+    argv = ["--cache-dir", str(cache), "w2", "--surface", "q", "--class", "3,1"]
+    assert run(argv) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(W q (1,3) l=0)" in err
+    (cache / "q.store").write_text("W,3,1,0,1\n", encoding="utf-8")
+    assert run(argv) == (0, "1\n")
+
+
 def test_dump_diagrams():
     code, text = run(["gw2", "--surface", "p2", "--class", "2", "--dump-diagrams"])
     assert code == 0
@@ -102,10 +116,33 @@ def test_dump_diagrams_enumerates_once(monkeypatch):
     monkeypatch.setattr(floor, "enumerate_diagrams", counting)
     code, text = run(["gw2", "--surface", "qx2", "--class", "3,3,1,2", "--dump-diagrams"])
     assert code == 0 and len(calls) == 1
-    # 31 diagrams, then their count 620, byte for byte as printed when the
-    # count took a second pass
+    # 31 diagrams, then the recursion's count 620, byte for byte as printed
+    # when the dump printed its own floor sum
     assert text.splitlines()[-1] == "620"
     assert hashlib.md5(text.encode()).hexdigest() == "fd01e9451201cc4e38bf6660dffa6a5e"
+
+
+def _floor_sum(dump_lines) -> int:
+    """Sum of decorations * markings * prod(w^2 over edges) over dump lines."""
+    total = 0
+    for line in dump_lines:
+        fields = dict(token.split("=", 1) for token in line.split())
+        term = int(fields["decorations"]) * int(fields["markings"])
+        if fields["edges"] != "-":
+            for edge in fields["edges"].split(","):
+                term *= int(edge.rsplit(":", 1)[1]) ** 2
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("surface, cls", [("p2", (2,)), ("qx2", (3, 3, 1, 2)), ("q", (3, 6))])
+def test_gw2_dump_prints_the_recursion_count(surface, cls):
+    argv = ["gw2", "--surface", surface, "--class", ",".join(map(str, cls))]
+    code, text = run(argv + ["--dump-diagrams"])
+    *dumped, last = text.splitlines()
+    assert code == 0 and dumped
+    assert run(argv) == (0, last + "\n")
+    assert int(last) == gw_surface(surface, cls) == _floor_sum(dumped)
 
 
 def test_gw2_large_blowup_class_in_budget():

@@ -37,6 +37,13 @@ def test_gw_threefold_rejects_twisted():
         gw_threefold("deg6t", (3, 3))
 
 
+def test_query_checks_its_family():
+    with pytest.raises(DomainError):
+        WelschingerQuery("deg9", (1,), 0)
+    # a family record builds the query of its id
+    assert WelschingerQuery(FAMILIES["deg7"], [5, 2], 1) == WelschingerQuery("deg7", (5, 2), 1)
+
+
 def test_gw_threefold_permutation_symmetry():
     rng = random.Random(13)
     for _ in range(30):

@@ -8,6 +8,7 @@ from pezzo.errors import CacheError, CsvParseError, DataUnavailableError, Domain
 from pezzo.gw import gw_surface
 from pezzo.lattice import FAMILIES, SURFACES, monodromy
 from pezzo.store import InvariantKey, Store, space_rank
+from pezzo.tables import gw_deg6_table
 
 
 def test_key_validation():
@@ -243,6 +244,37 @@ def test_ingest_pair_count_bounded(tmp_path, bare_store, space, header, good, ba
     assert report.inserted == 1
     assert [lineno for lineno, _ in report.rejected] == [3]
     assert f"outside {bound}" in report.rejected[0][1]
+
+
+@pytest.mark.parametrize("space, header, row, reason", [
+    ("p2", "space,c1,l,value", "p2,3,-1,8", "pairs must be nonnegative"),
+    ("deg6-gw", "space,c1,c2,c3,l,value", "deg6-gw,1,1,1,1,1", "GW keys carry pairs = 0"),
+], ids=["negative-pairs", "gw-pairs"])
+def test_ingest_rejects_pairs_the_key_rejects(tmp_path, bare_store, space, header, row, reason):
+    path = _write(tmp_path / "pairs.csv", f"{header}\n# note\n{row}\n")
+    report = bare_store.ingest_csv(path, space)
+    assert (report.inserted, report.rejected) == (0, [(3, reason)])
+
+
+@pytest.mark.parametrize("alias", ["deg6-gw", "deg7-gw", "deg8-gw"])
+def test_csv_alias_is_not_a_key_space(tmp_path, alias):
+    rank = FAMILIES[alias[:-3]].rank
+    with pytest.raises(DomainError):
+        InvariantKey("GW", alias, (1,) * rank)
+    path = tmp_path / f"{alias}.store"
+    path.write_bytes(b"GW," + b"1," * rank + b"0,1\n")
+    with pytest.raises(CacheError) as err:
+        Store(cache_dir=str(tmp_path), load_fixtures=False)
+    assert str(err.value).startswith(f"{path}:1: ")
+
+
+def test_csv_alias_ingests_complex_counts(tmp_path, bare_store):
+    text, _ = gw_deg6_table(max_sum=6, fmt="csv")
+    rows = text.splitlines()[1:]
+    report = bare_store.ingest_csv(_write(tmp_path / "gw.csv", text), "deg6-gw")
+    assert (report.inserted, report.rejected) == (len(rows), [])
+    _, *cls, _, value = rows[-1].split(",")
+    assert bare_store.lookup(InvariantKey("GW", "deg6", tuple(map(int, cls)))) == int(value)
 
 
 def test_bundled_fixture_consistent_with_diagrams(store):
