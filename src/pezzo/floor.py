@@ -11,6 +11,23 @@ down), each floor must satisfy
 Markings are total orders of the floors, bounded elevators and unbounded
 elevators compatible with vertical position; a diagram contributes its
 marking count times a per-edge multiplicity: w(e)^2 for the complex count.
+The marking count is the number of linear extensions of that order, N! times
+the volume of its order polytope.  With n floors, tree edges (i, j), d_h
+lower and u_h upper unbounded ends at floor h and N = 2n - 1 + d_b + d_t
+marked objects, it is
+
+    N! / prod_h (d_h! u_h!) * integral over 0 < t_0 < ... < t_{n-1} < 1 of
+        prod_(i,j) (t_j - t_i) * prod_h t_h^(d_h) (1 - t_h)^(u_h) dt,
+
+an edge lying anywhere between its floors and an end anywhere below or above
+its floor.  Expanding the edge factors and every (1 - t_h)^(u_h) leaves
+monomials prod_h t_h^(m_h), and integrating those floor by floor from the
+bottom divides by M_h + h + 1 at floor h, M_h = m_0 + ... + m_h.  These
+divisors grow strictly and the last is at most N, so they are distinct
+integers <= N and N! over their product is an integer: every moment
+N! * integral of prod_h t_h^(e_h) (1 - t_h)^(u_h) is an integer, and so is
+each partial sum of the floor-by-floor evaluation, which therefore divides
+exactly at each floor.  One table of moments serves all of a polygon's trees.
 For totally real configurations the multiplicity is 0 on any even weight and
 +1 otherwise (the two endpoint signs of a bounded elevator cancel); this
 convention is pinned by the plane values 8, 240, 18264 in the tests.  So the
@@ -24,9 +41,9 @@ Neither count is cached here: the store keeps each value it computes.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 from .errors import DegeneratePolygonError, DomainError
@@ -195,66 +212,115 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def _marking_count(n_floors: int, items) -> int:
-    """Count admissible total orders of marked objects around the floor chain.
-
-    items: (lo, hi, count) groups of identical objects, each to be placed in
-    one of the gaps lo..hi between consecutive floors (gap g precedes floor
-    g; gap n_floors is above every floor).
-
-    A group with lo = 0 and hi < n_floors (a floor's lower ends) may go
-    anywhere below floor hi, so it stays out of the DP state: once gap hi is
-    done its c objects go among the M elements below floor hi, the hi floors
-    and every object placed so far, in comb(M + c, c) ways, and their c!
-    stays out of the denominator.
+class _Markings:
+    """Marking numbers of one polygon's diagrams, by the integral of the
+    module docstring.  ``count`` takes a tree's diagrams one after another
+    and evaluates each tree in the order with fewer terms per diagram: by
+    its 2^edges signed monomials, each a moment kept in ``moments`` for the
+    whole polygon, or floor by floor, one term per pair of a state entering
+    a floor and a choice for that floor's edges.  A vector indexed by floor
+    is packed into an int, ``width`` bits per floor.
     """
-    arrivals = defaultdict(lambda: defaultdict(int))
-    lower_ends = defaultdict(list)
-    denom = 1
-    for lo, hi, c in items:
-        if lo == 0 and hi < n_floors:
-            lower_ends[hi].append(c)
-        elif c:
-            arrivals[lo][hi] += c
-            denom *= factorial(c)
-    states = {(): 1}
-    seen = 0                    # objects that have arrived or been inserted
-    for g in range(n_floors + 1):
-        incoming = arrivals.get(g, {})
-        seen += sum(incoming.values())
-        nxt = defaultdict(int)
-        for state, ways in states.items():
-            pool = dict(state)
-            for hi, c in incoming.items():
-                pool[hi] = pool.get(hi, 0) + c
-            must = pool.pop(g, 0)
-            hs = sorted(pool)
 
-            def place(idx, taken, chosen, rem):
-                if idx == len(hs):
-                    nxt[tuple(sorted(rem.items()))] += ways * chosen * factorial(taken)
-                    return
-                h = hs[idx]
-                avail = pool[h]
-                for take in range(avail + 1):
-                    if take:
-                        rem[h] = avail - take
-                        if rem[h] == 0:
-                            del rem[h]
-                    else:
-                        rem[h] = avail
-                    place(idx + 1, taken + take, chosen * comb(avail, take), rem)
-                rem[h] = avail
+    def __init__(self, n: int, top: int):
+        self.width = w = (top + 1).bit_length()
+        self.low = (1 << w) - 1
+        self.top = factorial(top)
+        self.fact = [factorial(k) for k in range(top + 1)]
+        self.expand = [tuple((k, (-1) ** k * comb(u, k)) for k in range(u + 1))
+                       for u in range(top + 1)]
+        self.n = n
+        self.bare = self._floor_steps(())[0]
+        self.tree = self.plan = None
+        self.moments = {}           # up -> packed exponents -> moment
 
-            place(0, must, 1, dict(pool))
-        states = nxt
-        for c in lower_ends.get(g, ()):
-            states = {state: ways * comb(g + seen - sum(k for _, k in state) + c, c)
-                      for state, ways in states.items()}
-            seen += c
-    total = states.get((), 0)
-    assert total % denom == 0
-    return total // denom
+    def _monomials(self, tree) -> tuple:
+        """The product of (t_j - t_i) over the edges as ((packed exponents,
+        coefficient), ...), equal monomials merged."""
+        w = self.width
+        keys, coefs = [0], [1]
+        for i, j in tree:
+            hi, lo = 1 << w * j, 1 << w * i
+            keys = [a + hi for a in keys] + [a + lo for a in keys]
+            coefs += [-c for c in coefs]
+        terms = defaultdict(int)
+        for a, c in zip(keys, coefs):
+            terms[a] += c
+        return tuple((a, c) for a, c in terms.items() if c)
+
+    def _floor_steps(self, tree) -> tuple:
+        """Per floor h, its state field and its choices, and the number of
+        terms per diagram.  A state packs the exponent so far (field 0) with
+        the edges still open to each floor j (field j + 1).  A choice takes
+        t_h from c of the m edges (h, j), with coefficient (-1)^c comb(m, c),
+        and leaves m - c open until floor j."""
+        n, w = self.n, self.width
+        steps, terms = [], 0
+        opened = [0] * n            # edges to each floor from at or below h
+        entering = 1                # states entering floor h
+        for h in range(n):
+            choices = [(1, 0)]
+            for j, m in sorted(Counter(j for i, j in tree if i == h).items()):
+                opened[j] += m
+                choices = [(coef * (-1) ** c * comb(m, c), add + c + ((m - c) << w * (j + 1)))
+                           for coef, add in choices for c in range(m + 1)]
+            steps.append((w * (h + 1), [(coef, add, add & self.low) for coef, add in choices]))
+            terms += entering * len(choices)
+            entering = prod(1 + k for k in opened[h + 1:])
+        return steps, terms
+
+    def _integral(self, steps, e, u) -> int:
+        """N! times the integral of prod_h t_h^(e_h) (1 - t_h)^(u_h) and the
+        edge factors of ``steps``, floor by floor from the bottom, each
+        (1 - t_h)^(u_h) expanded term by term.  Every division is exact."""
+        low, w = self.low, self.width
+        states = {0: self.top}
+        for h, (shift, choices) in enumerate(steps):
+            uh = u[h]
+            eh = e >> w * h & low
+            nxt = {}
+            for key, v in states.items():
+                p = key >> shift & low
+                key += eh + p - (p << shift)
+                div = (key & low) + h + 1
+                if not uh:          # all of p2: skip the (1 - t)^0 loop
+                    for coef, add, dc in choices:
+                        nk = key + add
+                        nxt[nk] = nxt.get(nk, 0) + coef * (v // (div + dc))
+                    continue
+                for coef, add, dc in choices:
+                    for k, ck in self.expand[uh]:
+                        nk = key + add + k
+                        nxt[nk] = nxt.get(nk, 0) + coef * ck * (v // (div + dc + k))
+            states = nxt
+        return sum(states.values())
+
+    def _evaluate(self, monomials, steps, down, up) -> int:
+        """The marking number, by the monomials if given, else by the steps."""
+        w = self.width
+        e = 0
+        for h, d in enumerate(down):
+            e += d << w * h
+        if monomials:
+            table = self.moments.setdefault(up, {})
+            total = 0
+            for a, c in monomials:
+                moment = table.get(a + e)
+                if moment is None:
+                    moment = table[a + e] = self._integral(self.bare, a + e, up)
+                total += c * moment
+        else:
+            total = self._integral(steps, e, up)
+        for k in down + up:
+            total //= self.fact[k]
+        return total
+
+    def count(self, tree, down, up) -> int:
+        if tree != self.tree:
+            steps, terms = self._floor_steps(tree)
+            plan = (None, steps) if terms < 1 << len(tree) else (self._monomials(tree), None)
+            self.tree, self.plan = tree, plan
+        return self._evaluate(*self.plan, down, up)
 
 
 def _unit_step_orders(steps: Sequence[int]) -> Iterator[tuple]:
@@ -293,16 +359,15 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
     n = pc.height
     if n == 0:
         raise DegeneratePolygonError(f"{pc.surface_id}{pc.class_vec}: zero height")
+    markings = _Markings(n, 2 * n - 1 + pc.d_b + pc.d_t)
     for divs, deco in _divergence_patterns(pc):
         for edges, t in _live_weightings(n, divs, pc.d_b, pc.d_t, 2 if real else 1):
+            tree = tuple((i, j) for i, j, _ in edges)
             slack = pc.d_b - sum(max(v, 0) for v in t)
             for extra in _compositions(slack, n):
                 down = tuple(max(v, 0) + x for v, x in zip(t, extra))
                 up = tuple(max(-v, 0) + x for v, x in zip(t, extra))
-                items = [(i + 1, j, 1) for i, j, _ in edges]
-                items += [(0, f, down[f]) for f in range(n)]
-                items += [(f + 1, n, up[f]) for f in range(n)]
-                nu = _marking_count(n, items)
+                nu = markings.count(tree, down, up)
                 if nu:
                     yield FloorDiagram(n, divs, edges, down, up, nu, deco)
 

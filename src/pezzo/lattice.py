@@ -84,6 +84,13 @@ class ThreefoldFamily(_Ranked):
     member_space: str
     line: Callable           # d -> None or (D_0, length, sign base)
 
+    def constraints(self, d: ClassVector) -> int:
+        """c1.d / 2 of a checked class (ParityError if c1.d is odd)."""
+        c1d = sum(map(mul, self.c1_row, d))
+        if c1d % 2:
+            raise ParityError(f"{self.id}: c1.d = {c1d} is odd")
+        return c1d // 2
+
 
 P2 = SurfaceLattice("p2", 1, "p2")
 P2X1 = SurfaceLattice("p2x1", 2, "p2")
@@ -145,11 +152,7 @@ def constraint_count(space, d: Sequence[int]) -> int:
     if isinstance(space, SurfaceLattice):
         return pair(space, space.anticanonical, d) - 1  # pair checks d
     if isinstance(space, ThreefoldFamily):
-        d = space.check(d)
-        c1d = sum(map(mul, space.c1_row, d))
-        if c1d % 2:
-            raise ParityError(f"{space.id}: c1.d = {c1d} is odd")
-        return c1d // 2
+        return space.constraints(space.check(d))
     raise DomainError(f"unsupported space {space!r}")
 
 

@@ -12,6 +12,7 @@ with exactly rank+3 comma-separated fields; ``#`` lines are comments; UTF-8.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -97,12 +98,13 @@ class InvariantKey:
 
 
 def pair_bound(space: str, cls: tuple) -> int:
-    """Most conjugate pairs a W value of the class can carry (negative when
-    none fits): k_D // 2 on a surface, a qx2t class (a, alpha, beta) counted
-    as (a, a; alpha, beta) on qx2; on a threefold, k_d - 1 halved and rounded
-    down, so one real point stays (ParityError when c1.d is odd)."""
+    """Most conjugate pairs a W value of the checked class can carry
+    (negative when none fits): k_D // 2 on a surface, a qx2t class
+    (a, alpha, beta) counted as (a, a; alpha, beta) on qx2; on a threefold,
+    k_d - 1 halved and rounded down, so one real point stays (ParityError
+    when c1.d is odd)."""
     if space in FAMILIES:
-        return (constraint_count(FAMILIES[space], cls) - 1) // 2
+        return (FAMILIES[space].constraints(cls) - 1) // 2
     if space == _TWISTED:
         return constraint_count(SURFACES["qx2"], cls[:1] + cls) // 2
     return constraint_count(SURFACES[space], cls) // 2
@@ -165,6 +167,11 @@ class Store:
             self._load_cache()
         if load_fixtures:
             self._load_bundled_fixtures()
+        # move everything allocated so far, the loaded store included, out
+        # of the cyclic collector: each older-generation collection that
+        # later allocations trigger would rescan it, and the one that lands
+        # on a query sets that query's latency
+        gc.freeze()
 
     # -- persistence ----------------------------------------------------------
 

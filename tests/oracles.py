@@ -23,10 +23,12 @@ values.
 
 ``enumerate_diagrams_scan`` finds the floor diagrams by scanning every
 spanning tree of the floors in Prüfer order and every weighting of it, and
-``marking_count_dp`` keeps every marked object in its DP state;
+``marking_count_dp`` counts the markings with every marked object in its DP
+state, one gap between floors at a time;
 ``pezzo.floor.enumerate_diagrams`` builds only the live weighted trees, floor
-by floor, and ``pezzo.floor._marking_count`` inserts the lower ends at the
-end, and each must give the same values, the diagrams in the same order.
+by floor, and ``pezzo.floor._Markings`` evaluates the marking count as an
+integral over the floor heights, and each must give the same values, the
+diagrams in the same order.
 """
 
 import heapq

@@ -1,7 +1,10 @@
 """The benchmark's tracer (``bench/layers.py``) rebinds pezzo functions by
 name.  Installing it fails once one of those names is gone from ``src/``,
-so this test catches a refactor that would break traced bench runs."""
+so this test catches a refactor that would break traced bench runs.  A
+traced floor count must also show the spans and the diagram count that the
+real-tables bench requires of every traced run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,3 +18,28 @@ def test_bench_tracer_installs():
         [sys.executable, "-c", "import layers; layers.install(layers.Tracer('t'))"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+_TRACED_FLOOR = """
+import json, layers
+from pezzo import floor
+pc = floor.polygon_of("qx2", (3, 3, 1, 2))
+expected = sum(1 for _ in floor.enumerate_diagrams(pc, real=True))
+tracer = layers.Tracer("t")
+layers.install(tracer)
+floor.fd_count_real_l0(pc)
+print(json.dumps({"expected": expected, "spans": [s[0] for s in tracer.spans],
+                  "diagrams": tracer.counts.get("floor.diagrams")}))
+"""
+
+
+def test_traced_floor_count_reports_its_diagrams():
+    # the real-tables bench requires these two from every traced run
+    path = os.pathsep.join(os.path.join(ROOT, sub) for sub in ("src", "bench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_FLOOR],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["spans"] == ["floor.fd_count", "floor.enumerate_diagrams"]
+    assert seen["diagrams"] == seen["expected"] > 0

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_diagrams_scan, gw_p2, marking_count_dp
+from oracles import _prufer_tree, enumerate_diagrams_scan, gw_p2, marking_count_dp
 from pezzo.errors import DegeneratePolygonError, DomainError
 from pezzo.floor import (
-    _marking_count,
+    _Markings,
     enumerate_diagrams,
     fd_count_complex,
     fd_count_real_l0,
@@ -237,38 +237,55 @@ def _brute_markings(n_floors, items):
     return total
 
 
+def _marking_items(n, edges, down, up):
+    """The marked objects of a diagram as the oracles' (lo, hi, count) gap
+    ranges: an edge (i, j) between floors i and j, the lower ends of floor f
+    below it, its upper ends above it."""
+    items = [(i + 1, j, 1) for i, j, *_ in edges]
+    items += [(0, f, down[f]) for f in range(n)]
+    items += [(f + 1, n, up[f]) for f in range(n)]
+    return items
+
+
 def test_marking_count_against_brute_force():
-    # every diagram of a few small polygons, checked object by object
+    # every diagram of a few small polygons, checked object by object; p2
+    # (6,) evaluates some trees by moments and some floor by floor.
+    # Diagrams that differ only in their weights share one oracle call.
     checked = 0
-    for surface, cls in (("p2", (3,)), ("q", (2, 2)), ("qx1", (2, 2, 1)),
-                         ("qx2", (3, 2, 1, 2)), ("qx2", (2, 2, 1, 1)),
+    for surface, cls in (("p2", (3,)), ("p2", (5,)), ("p2", (6,)), ("q", (2, 2)),
+                         ("qx1", (2, 2, 1)), ("qx2", (3, 2, 1, 2)), ("qx2", (2, 2, 1, 1)),
                          ("qx2", (2, 2, 0, 1))):
         pc = polygon_of(surface, cls)
         n = pc.height
+        oracle = {}
         for diag in enumerate_diagrams(pc):
-            items = [(i + 1, j, 1) for i, j, _ in diag.edges]
-            items += [(0, f, diag.down[f]) for f in range(n)]
-            items += [(f + 1, n, diag.up[f]) for f in range(n)]
-            assert diag.markings == _brute_markings(n, items)
+            shape = (tuple((i, j) for i, j, _ in diag.edges), diag.down, diag.up)
+            if shape not in oracle:
+                oracle[shape] = _brute_markings(n, _marking_items(n, *shape))
+            assert diag.markings == oracle[shape]
             checked += 1
-    assert checked > 20
+    assert checked > 1400
 
 
 @st.composite
-def _marking_items(draw):
-    n = draw(st.integers(1, 4))
-    items = []
-    for _ in range(draw(st.integers(0, 5))):
-        lo = draw(st.integers(0, n))
-        items.append((lo, draw(st.integers(lo, n)), draw(st.integers(0, 3))))
-    return n, items
+def _diagram_shapes(draw):
+    n = draw(st.integers(1, 6))
+    code = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    tree = () if n == 1 else _prufer_tree(code, n)
+    down, up = (Counter(draw(st.lists(st.integers(0, n - 1), max_size=2))) for _ in "du")
+    return n, tree, tuple(down[f] for f in range(n)), tuple(up[f] for f in range(n))
 
 
-@settings(max_examples=300, deadline=None, database=None)
-@given(_marking_items())
+@settings(max_examples=200, deadline=None, database=None)
+@given(_diagram_shapes())
 def test_marking_count_equals_dp_oracle(case):
-    n, items = case
-    assert _marking_count(n, items) == marking_count_dp(n, items) == _brute_markings(n, items)
+    n, tree, down, up = case
+    markings = _Markings(n, 2 * n - 1 + sum(down) + sum(up))
+    by_moments = markings._evaluate(markings._monomials(tree), None, down, up)
+    by_floors = markings._evaluate(None, markings._floor_steps(tree)[0], down, up)
+    items = _marking_items(n, tree, down, up)
+    assert by_moments == by_floors == marking_count_dp(n, items) == _brute_markings(n, items)
+    assert markings.count(tree, down, up) == by_moments
 
 
 def test_backend_equivalence_extended():
