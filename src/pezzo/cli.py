@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
 
     w2 = sub.add_parser("w2", help="real signed count of a surface class")
     w2.add_argument("--surface", required=True,
-                    choices=sorted(SURFACES) + ["qx2t"])
+                    choices=sorted({*SURFACES, *(f.member_space for f in FAMILIES.values())}))
     w2.add_argument("--class", dest="cls", required=True)
     w2.add_argument("--pairs", type=int, default=0)
     w2.add_argument("--dump-diagrams", action="store_true")
@@ -120,7 +120,7 @@ def _run(args, out) -> int:
         cls = _parse_class(args.cls)
         key = InvariantKey("W", args.surface, cls, args.pairs)
         check_pairs(key.space, key.cls, key.pairs)
-        if args.dump_diagrams and args.surface != "qx2t":
+        if args.dump_diagrams:
             _dump_diagrams(args.surface, cls, out)
         print(served_w(store, key, gw_of(key.space, key.cls)), file=out)
         return 0

@@ -149,22 +149,25 @@ def _closed_form(store: Store, family: ThreefoldFamily, line: tuple, pairs: int)
     return total
 
 
+def deg6_classes(max_sum: int) -> list:
+    """The classes a >= b >= c >= 0 with 1 <= a + b + c <= max_sum, in lexicographic order."""
+    return [(a, b, c) for a in range(max_sum + 1) for b in range(a + 1)
+            for c in range(b + 1) if 1 <= a + b + c <= max_sum]
+
+
 def positivity_report(max_sum: int, store: Store) -> list:
     """Nonnegativity sweep for the standard-real product family at l = 0:
     returns the (class, 0, value) triples that come out negative, plus the
     queries with missing data (value None).  Informational only."""
     rows = []
-    for a in range(1, max_sum + 1):
-        for b in range(a + 1):
-            for c in range(b + 1):
-                d = (a, b, c)
-                if sum(d) > max_sum or w_vanishes_a_priori(DEG6, d):
-                    continue
-                try:
-                    value = w_threefold(WelschingerQuery("deg6", d, 0), store)
-                except DataUnavailableError:
-                    rows.append((d, 0, None))
-                    continue
-                if value < 0:
-                    rows.append((d, 0, value))
+    for d in deg6_classes(max_sum):
+        if w_vanishes_a_priori(DEG6, d):
+            continue
+        try:
+            value = w_threefold(WelschingerQuery("deg6", d, 0), store)
+        except DataUnavailableError:
+            rows.append((d, 0, None))
+            continue
+        if value < 0:
+            rows.append((d, 0, value))
     return rows

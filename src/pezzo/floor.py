@@ -44,6 +44,7 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import comb, factorial, prod
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import DegeneratePolygonError, DomainError
@@ -200,16 +201,9 @@ def _live_weightings(n, divs, d_b, d_t, step) -> list:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # gaps between sorted cut points in 0..total, in lexicographic (dump) order
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 class _Markings:

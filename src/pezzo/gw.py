@@ -17,9 +17,8 @@ table, keyed on the reduced class.  A miss at the public entry first fills,
 bottom-up, every reduced class of degree 1..d whose multiplicities are at
 most the largest one of the class asked for.  The halves of each such class
 reduce into the same box at a lower degree, so no call recurses more than
-one splitting deep and no starting degree has to be chosen: the fill from a
-fixed degree up (``_SHALLOW``), which the unreduced recursion needs to keep
-its stack shallow, is gone.  All arithmetic is exact.
+one splitting deep and no starting degree has to be chosen.  All arithmetic
+is exact.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,9 +35,10 @@ from .lattice import FAMILIES, SURFACES, constraint_count
 
 CACHE_ENV = "PEZZO_CACHE_DIR"
 
-# qx2 classes (a, a; alpha, beta), fixed by the real twist, keyed (a, alpha, beta);
-# every other space token is a surface or a family of pezzo.lattice
-_TWISTED = "qx2t"
+# member spaces that are not surfaces (qx2t): the surface classes (a, a; alpha, beta)
+# fixed by the real twist, keyed (a, alpha, beta), read through the diagonal cls[:1] + cls
+_DIAGONAL = {f.member_space: f.surface for f in FAMILIES.values()
+             if f.member_space not in SURFACES}
 
 # emission tokens for complex-count tables; ingest maps them to GW keys
 _GW_ALIAS = {"deg8-gw": "deg8", "deg7-gw": "deg7", "deg6-gw": "deg6"}
@@ -52,8 +54,8 @@ def space_rank(space: str) -> int:
         return SURFACES[space].rank
     if space in FAMILIES:
         return FAMILIES[space].rank
-    if space == _TWISTED:
-        return 3
+    if space in _DIAGONAL:
+        return _DIAGONAL[space].rank - 1
     raise DomainError(f"unknown space token {space!r}")
 
 
@@ -85,7 +87,8 @@ class InvariantKey:
             # W keys only on the quadric side: there the twin is a monodromy image
             if self.kind == "GW" or lat.vanishing_cycle is not None:
                 cls = gw.canonical_class(lat, cls)
-        elif self.space == _TWISTED:
+        elif self.space in _DIAGONAL:
+            # the monodromy, restricted to the diagonal, swaps the two cuts
             a, alpha, beta = cls
             cls = min(cls, (a, beta, alpha))
         elif self.space == "deg6":
@@ -105,8 +108,8 @@ def pair_bound(space: str, cls: tuple) -> int:
     when c1.d is odd)."""
     if space in FAMILIES:
         return (FAMILIES[space].constraints(cls) - 1) // 2
-    if space == _TWISTED:
-        return constraint_count(SURFACES["qx2"], cls[:1] + cls) // 2
+    if space in _DIAGONAL:
+        return constraint_count(_DIAGONAL[space], cls[:1] + cls) // 2
     return constraint_count(SURFACES[space], cls) // 2
 
 
@@ -122,13 +125,11 @@ def gw_of(space: str, cls: tuple) -> int:
     """Complex count behind a key, used for computation and validation."""
     if space in SURFACES:
         return gw.gw_surface(space, cls)
-    if space == _TWISTED:
-        a, alpha, beta = cls
-        return gw.gw_surface("qx2", (a, a, alpha, beta))
+    if space in _DIAGONAL:
+        return gw.gw_surface(_DIAGONAL[space], cls[:1] + cls)
     from . import combine  # deferred: combine imports this module
     if space == "deg6t":
-        a, c = cls
-        return combine.gw_threefold(FAMILIES["deg6"], (a, a, c))
+        return combine.gw_threefold(FAMILIES["deg6"], cls[:1] + cls)
     return combine.gw_threefold(FAMILIES[space], cls)
 
 
@@ -162,11 +163,12 @@ class Store:
         self.cache_dir = _resolve_cache_dir(cache_dir)
         self._data: dict = {}
         self._lock = threading.RLock()
+        # fixtures first: a cache row contradicting a checked fixture value is the error
+        if load_fixtures:
+            self._load_bundled_fixtures()
         if self.cache_dir:
             os.makedirs(self.cache_dir, exist_ok=True)
             self._load_cache()
-        if load_fixtures:
-            self._load_bundled_fixtures()
         # move everything allocated so far, the loaded store included, out
         # of the cyclic collector: each older-generation collection that
         # later allocations trigger would rescan it, and the one that lands
@@ -181,7 +183,8 @@ class Store:
     def _load_cache(self):
         """Read every ``<space>.store`` file.  A last line with no newline is
         an append cut short (``_persist`` writes whole lines): it is dropped
-        from the file with a warning.  Any other bad row raises CacheError."""
+        from the file with a warning.  Any other bad row, or one that
+        contradicts a stored value, raises CacheError."""
         for name in sorted(os.listdir(self.cache_dir)):
             if not name.endswith(".store"):
                 continue
@@ -205,10 +208,8 @@ class Store:
                     value = int(parts[-1])
                 except (ValueError, IndexError) as exc:
                     raise CacheError(f"{path}:{lineno}: bad row {raw!r}: {exc}") from None
-                old = self._data.get(key)
-                if old is not None and old != value:
-                    raise CacheError(f"{path}:{lineno}: {key}: cached {old} vs {value}")
-                self._data[key] = value
+                if not self.insert(key, value, persist=False):
+                    raise CacheError(f"{path}:{lineno}: {key} is {self._data[key]}, not {value}")
 
     def _persist(self, key: InvariantKey, value: int):
         if not self.cache_dir:
@@ -246,11 +247,8 @@ class Store:
     def __len__(self):
         return len(self._data)
 
-    def spaces(self) -> dict:
-        out: dict = {}
-        for key in self._data:
-            out[key.space] = out.get(key.space, 0) + 1
-        return out
+    def spaces(self) -> Counter:
+        return Counter(key.space for key in self._data)
 
     def get_or_compute(self, key: InvariantKey) -> int:
         with self._lock:

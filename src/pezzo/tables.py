@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .combine import (
     WelschingerQuery,
+    deg6_classes,
     gw_threefold,
     gw_vanishes_a_priori,
     w_threefold,
@@ -29,20 +30,10 @@ def _md_table(header, rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _deg6_classes(max_sum: int):
-    out = []
-    for a in range(max_sum + 1):
-        for b in range(a + 1):
-            for c in range(b + 1):
-                if 1 <= a + b + c <= max_sum:
-                    out.append((a, b, c))
-    return out
-
-
 def gw_deg6_table(max_sum: int = 12, fmt: str = "md") -> tuple:
     """Complex counts of the product family with their fiber breakdown."""
     family = FAMILIES["deg6"]
-    classes = [d for d in _deg6_classes(max_sum) if not gw_vanishes_a_priori(family, d)]
+    classes = [d for d in deg6_classes(max_sum) if not gw_vanishes_a_priori(family, d)]
     if fmt == "csv":
         lines = ["space,c1,c2,c3,l,value"]
         for d in classes:
@@ -118,7 +109,7 @@ def w_deg7_table(max_d: int = 9, fmt: str = "md", *, store: Store) -> tuple:
 def w_deg6_table(max_sum: int = 15, fmt: str = "md", *, store: Store) -> tuple:
     """Real counts of the standard-real product family."""
     family = FAMILIES["deg6"]
-    columns = [d for d in _deg6_classes(max_sum) if not w_vanishes_a_priori(family, d)]
+    columns = [d for d in deg6_classes(max_sum) if not w_vanishes_a_priori(family, d)]
     labels = ["(%d,%d,%d)" % d for d in columns]
     return _w_grid("deg6", columns, labels, store, fmt)
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 from pezzo.combine import WelschingerQuery, _member_key, w_vanishes_a_priori
 from pezzo.errors import DegeneratePolygonError, DomainError, PezzoError, RankMismatchError
-from pezzo.floor import FloorDiagram, PolygonClass, _compositions, _divergence_patterns
+from pezzo.floor import FloorDiagram, PolygonClass, _divergence_patterns
 from pezzo.gw import gw_surface
 from pezzo.lattice import DEG6, DEG6T, DEG7, DEG8, FAMILIES, ThreefoldFamily, fiber, pair
 from pezzo.signs import sign_exponent
@@ -363,6 +363,22 @@ def _weightings(tree, divs, d_b, d_t, step) -> Iterator[tuple]:
     yield from walk(n - 1, 0, 0)
 
 
+def compositions(total: int, parts: int) -> Iterator[tuple]:
+    """Tuples of ``parts`` nonnegative ints summing to ``total``, by the
+    first part, recursively: lexicographic order, independent of the cut-point
+    version in ``pezzo.floor``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def marking_count_dp(n_floors: int, items) -> int:
     """Count admissible total orders of marked objects around the floor chain.
 
@@ -427,7 +443,7 @@ def enumerate_diagrams_scan(pc: PolygonClass, real: bool = False) -> Iterator[Fl
                 slack = pc.d_b - need_dn
                 if slack < 0 or pc.d_t - need_up != slack:
                     continue
-                for extra in _compositions(slack, n):
+                for extra in compositions(slack, n):
                     down = tuple(max(v, 0) + x for v, x in zip(t, extra))
                     up = tuple(max(-v, 0) + x for v, x in zip(t, extra))
                     edges = tuple((i, j, w) for (i, j), w in zip(tree, weights))

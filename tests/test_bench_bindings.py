@@ -2,10 +2,12 @@
 name.  Installing it fails once one of those names is gone from ``src/``,
 so this test catches a refactor that would break traced bench runs.  A
 traced floor count must also show the spans and the diagram count that the
-real-tables bench requires of every traced run."""
+real-tables bench requires of every traced run.  ``bench/make_pins.py``,
+run on a copy of ``bench/``, must rebuild ``bench/pins.json`` byte for byte."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -43,3 +45,18 @@ def test_traced_floor_count_reports_its_diagrams():
     seen = json.loads(proc.stdout)
     assert seen["spans"] == ["floor.fd_count", "floor.enumerate_diagrams"]
     assert seen["diagrams"] == seen["expected"] > 0
+
+
+def test_make_pins_rebuilds_the_pins(tmp_path):
+    # a copy of bench/ next to a link to src/: make_pins.py writes only there.
+    # Equal bytes mean no pinned number moved and every name it calls exists.
+    shutil.copytree(os.path.join(ROOT, "bench"), tmp_path / "bench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    os.symlink(os.path.abspath(os.path.join(ROOT, "src")), tmp_path / "src")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    env.pop("PEZZO_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, str(tmp_path / "bench" / "make_pins.py")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(ROOT, "bench", "pins.json"), "rb") as fh:
+        assert (tmp_path / "bench" / "pins.json").read_bytes() == fh.read()

@@ -71,6 +71,25 @@ def test_w2_without_newton_polygon_needs_ingestion(capsys):
     assert capsys.readouterr().err == "missing: (W p2x2 (4,1,1) l=0)\n"
 
 
+def test_w2_dump_without_newton_polygon(capsys):
+    # no diagrams to dump: the flag is an input error on every such space
+    for surface, cls in (("p2x1", "3,1"), ("qx2t", "1,0,1")):
+        argv = ["w2", "--surface", surface, "--class", cls, "--dump-diagrams"]
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == f"error: no Newton polygon for surface {surface!r}\n"
+
+
+def test_cache_row_cannot_override_a_fixture(tmp_path, capsys):
+    # 42 passes the parity and bound checks, but the bundled W(p2; 4, l=3) is 40
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "p2.store").write_text("W,4,3,42\n", encoding="utf-8")
+    argv = ["--cache-dir", str(cache), "w2", "--surface", "p2", "--class", "4", "--pairs", "3"]
+    assert run(argv) == (1, "")
+    err = capsys.readouterr().err
+    assert err == f"error: {cache / 'p2.store'}:1: (W p2 (4) l=3) is 40, not 42\n"
+
+
 def test_w3_rejects_stored_value_breaking_the_bound(tmp_path, capsys):
     # GW(q; 1,2) = 1, so a stored W of 5 cannot be served; the true w3 is -1
     cache = tmp_path / "cache"

@@ -1,9 +1,14 @@
+import contextlib
+import io
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pezzo
 from pezzo.errors import CacheError, CsvParseError, DataUnavailableError, DomainError
 from pezzo.gw import gw_surface
 from pezzo.lattice import FAMILIES, SURFACES, monodromy
@@ -202,6 +207,57 @@ def test_cache_torn_last_line_dropped(tmp_path, capsys):
     again = Store(cache_dir=str(tmp_path), load_fixtures=False)
     assert again.lookup(InvariantKey("W", "p2", (4,), 0)) == 240
     assert capsys.readouterr().err == ""
+
+
+@st.composite
+def _torn_cache(draw):
+    row = st.tuples(st.integers(1, 30), st.integers(0, 5), st.integers(-10**6, 10**6))
+    rows = draw(st.lists(row, min_size=1, max_size=12, unique_by=lambda r: r[:2]))
+    size = sum(len(f"W,{d},{l},{v}\n") for d, l, v in rows)
+    return rows, draw(st.integers(0, size))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_torn_cache())
+def test_cache_round_trip_under_truncation(case):
+    rows, cut = case
+    keys = [InvariantKey("W", "p2", (d,), l) for d, l, _ in rows]
+    with tempfile.TemporaryDirectory() as cache:
+        store = Store(cache_dir=cache, load_fixtures=False)
+        for key, (_, _, value) in zip(keys, rows):
+            assert store.insert(key, value)
+        path = os.path.join(cache, "p2.store")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        os.truncate(path, cut)
+        kept = data.rfind(b"\n", 0, cut) + 1  # bytes of the rows whose newline precedes the cut
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            again = Store(cache_dir=cache, load_fixtures=False)
+        whole = data.count(b"\n", 0, kept)
+        assert len(again) == whole
+        for i, (key, (_, _, value)) in enumerate(zip(keys, rows)):
+            assert again.lookup(key) == (value if i < whole else None)
+        with open(path, "rb") as fh:
+            assert fh.read() == data[:kept]
+        torn = data[kept:cut]
+        assert err.getvalue() == (
+            f"warning: {path}:{whole + 1}: dropping torn last line {torn!r}\n" if torn else "")
+
+
+def test_bundled_fixture_rows_all_load():
+    data_dir = os.path.join(os.path.dirname(pezzo.__file__), "data")
+    total = 0
+    for name in sorted(os.listdir(data_dir)):
+        path = os.path.join(data_dir, name)
+        with open(path, encoding="utf-8") as fh:
+            _, *rows = [line for line in fh.read().splitlines()
+                        if line and not line.startswith("#")]
+        report = Store(load_fixtures=False).ingest_csv(path, rows[0].split(",")[0], persist=False)
+        assert (report.inserted, report.rejected) == (len(rows), []), name
+        total += len(rows)
+    # and the store loads every one of those files
+    assert len(Store()) == total == 42
 
 
 @pytest.mark.parametrize("body, lineno", [
