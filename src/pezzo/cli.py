@@ -162,6 +162,13 @@ def main(argv=None, out=None) -> int:
     except (_UsageError, PezzoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, RecursionError) as exc:
+        # a large enough class outgrows this process
+        exhausted = type(exc).__name__
+    # printed past the except block, once the failed count's frames and the
+    # memory they hold are released
+    print(f"error: out of resources ({exhausted})", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

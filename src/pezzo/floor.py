@@ -77,18 +77,6 @@ class FloorDiagram:
     markings: int
     decorations: int = 1     # boundary-slant assignments sharing this shape
 
-    def complex_multiplicity(self) -> int:
-        out = 1
-        for _, _, w in self.edges:
-            out *= w * w
-        return out
-
-    def real_multiplicity(self) -> int:
-        for _, _, w in self.edges:
-            if w % 2 == 0:
-                return 0
-        return 1
-
     def dump_line(self) -> str:
         edges = ",".join(f"{i}-{j}:{w}" for i, j, w in self.edges) or "-"
         down = ",".join(map(str, self.down))
@@ -317,17 +305,6 @@ class _Markings:
         return self._evaluate(*self.plan, down, up)
 
 
-def _unit_step_orders(steps: Sequence[int]) -> Iterator[tuple]:
-    """Distinct orderings of a multiset of 0/1 boundary steps."""
-    n = len(steps)
-    ones = sum(steps)
-    for pos in itertools.combinations(range(n), ones):
-        out = [0] * n
-        for p in pos:
-            out[p] = 1
-        yield tuple(out)
-
-
 def _divergence_patterns(pc: PolygonClass):
     """Required per-floor divergences, with decoration multiplicities.
 
@@ -335,12 +312,11 @@ def _divergence_patterns(pc: PolygonClass):
     floors by independent bijections (a slanted end may climb past other
     floors); patterns that differ only in the pairing are grouped.
     """
-    lefts = [l for l, _ in pc.slabs]
-    rights = [r for _, r in pc.slabs]
+    n = pc.height
     patterns = defaultdict(int)
-    for lseq in _unit_step_orders(lefts):
-        for rseq in _unit_step_orders(rights):
-            patterns[tuple(r - l for l, r in zip(lseq, rseq))] += 1
+    for lpos in itertools.combinations(range(n), sum(l for l, _ in pc.slabs)):
+        for rpos in itertools.combinations(range(n), sum(r for _, r in pc.slabs)):
+            patterns[tuple((j in rpos) - (j in lpos) for j in range(n))] += 1
     return sorted(patterns.items())
 
 
@@ -368,11 +344,11 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
 
 def fd_count_complex(pc: PolygonClass) -> int:
     """Sum of w^2-weighted marked diagrams; equals the surface count."""
-    return sum(d.decorations * d.markings * d.complex_multiplicity()
+    return sum(d.decorations * d.markings * prod(w * w for _, _, w in d.edges)
                for d in enumerate_diagrams(pc))
 
 
 def fd_count_real_l0(pc: PolygonClass) -> int:
-    """Signed diagram count for a totally real point configuration."""
-    return sum(d.decorations * d.markings * d.real_multiplicity()
-               for d in enumerate_diagrams(pc, real=True))
+    """Signed diagram count for a totally real point configuration: every
+    diagram of odd elevator weights counts with multiplicity +1."""
+    return sum(d.decorations * d.markings for d in enumerate_diagrams(pc, real=True))

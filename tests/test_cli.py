@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from pezzo import floor
+from pezzo import cli, floor
 from pezzo.cli import main
 from pezzo.gw import gw_surface
 from pezzo.tables import gw_deg6_table
@@ -187,6 +187,36 @@ def test_usage_errors():
     assert code == 1
     code, _ = run(["gw3", "--family", "deg6t", "--class", "1,1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_running_out_of_resources_is_one_error_line(monkeypatch, capsys, exc):
+    def exhausted(*args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "gw_threefold", exhausted)
+    assert run(["gw3", "--family", "deg6", "--class", "3,3,3"]) == (1, "")
+    assert capsys.readouterr().err == f"error: out of resources ({exc.__name__})\n"
+
+
+def test_capped_child_runs_out_of_memory_with_one_error_line():
+    # under a 100 MB address-space cap (set in the child only) this count
+    # runs out of memory in about 2 s on 2 vCPUs.  A suspended generator
+    # closed while memory is exhausted can fail to close, and Python then
+    # reports it on stderr ("Exception ignored in ..."), so only the error
+    # line is pinned here; the in-process test pins the whole of stderr.
+    resource = pytest.importorskip("resource")
+    cap = 100 << 20
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PEZZO_CACHE_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pezzo.cli", "w2", "--surface", "qx2", "--class", "9,9,1,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: out of resources (MemoryError)"], proc.stderr
 
 
 def test_table_deterministic_and_reingestable(tmp_path):

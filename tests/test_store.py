@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pezzo
+from pezzo.combine import WelschingerQuery, w_threefold
 from pezzo.errors import CacheError, CsvParseError, DataUnavailableError, DomainError
 from pezzo.gw import gw_surface
 from pezzo.lattice import FAMILIES, SURFACES, monodromy
@@ -110,6 +111,22 @@ def test_cache_hits_both_monodromy_images(tmp_path):
     assert store.lookup(twin) == value
     files = [p.name for p in tmp_path.iterdir()]
     assert files == ["qx2.store"]
+
+
+def test_threefold_w_key_is_the_fiber_sum(tmp_path, monkeypatch):
+    # w3 calls w_threefold itself; only get_or_compute on a family key
+    # reaches the store's fiber-sum branch
+    key = InvariantKey("W", "deg7", (5, 0), 0)
+    store = Store(cache_dir=str(tmp_path))
+    assert store.get_or_compute(key) == 45
+    assert w_threefold(WelschingerQuery("deg7", (5, 0), 0), Store(cache_dir=None)) == 45
+    assert (tmp_path / "deg7.store").read_text(encoding="utf-8") == "W,5,0,0,45\n"
+
+    def no_compute(self, key):
+        raise AssertionError(f"recomputed {key}")
+
+    monkeypatch.setattr(Store, "_compute", no_compute)
+    assert Store(cache_dir=str(tmp_path)).get_or_compute(key) == 45
 
 
 def _write(path, text):
