@@ -27,21 +27,24 @@ divisors grow strictly and the last is at most N, so they are distinct
 integers <= N and N! over their product is an integer: every moment
 N! * integral of prod_h t_h^(e_h) (1 - t_h)^(u_h) is an integer, and so is
 each partial sum of the floor-by-floor evaluation, which therefore divides
-exactly at each floor.  One table of moments serves all of a polygon's trees.
-For totally real configurations the multiplicity is 0 on any even weight and
-+1 otherwise (the two endpoint signs of a bounded elevator cancel); this
-convention is pinned by the plane values 8, 240, 18264 in the tests.  So the
-real count enumerates odd elevator weights only and never builds a diagram
-with an even weight.  Trees are built floor by floor from the top, so one
-that admits no weighting is never visited; both counts and ``--dump-diagrams``
-get the diagrams ordered by the tree's Prüfer code, then by the weights.
-Neither count is cached here: the store keeps each value it computes.
+exactly at each floor.  A tree is evaluated by its edge monomials, against
+one table of moments for the polygon, or floor by floor, whichever has fewer
+terms, counted before either is built.  For totally real configurations the
+multiplicity is 0 on any even weight and +1 otherwise (the two endpoint signs
+of a bounded elevator cancel); this convention is pinned by the plane values
+8, 240, 18264 in the tests.  So the real count enumerates odd elevator weights
+only and never builds a diagram with an even weight.  Trees are built floor by
+floor from the top, so one that admits no weighting is never visited; both
+counts and ``--dump-diagrams`` get the diagrams ordered by the tree's Prüfer
+code, then by the weights.  Neither count is cached here: the store keeps each
+value it computes, and counts a real quadric-side class on the lowest
+rectangle of its orbit.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import sub
@@ -200,8 +203,9 @@ class _Markings:
     and evaluates each tree in the order with fewer terms per diagram: by
     its 2^edges signed monomials, each a moment kept in ``moments`` for the
     whole polygon, or floor by floor, one term per pair of a state entering
-    a floor and a choice for that floor's edges.  A vector indexed by floor
-    is packed into an int, ``width`` bits per floor.
+    a floor and a choice for that floor's edges.  ``_terms`` counts the
+    latter in closed form, so only the chosen plan is built.  A vector
+    indexed by floor is packed into an int, ``width`` bits per floor.
     """
 
     def __init__(self, n: int, top: int):
@@ -212,44 +216,47 @@ class _Markings:
         self.expand = [tuple((k, (-1) ** k * comb(u, k)) for k in range(u + 1))
                        for u in range(top + 1)]
         self.n = n
-        self.bare = self._floor_steps(())[0]
+        self.bare = self._floor_steps(())
         self.tree = self.plan = None
         self.moments = {}           # up -> packed exponents -> moment
 
     def _monomials(self, tree) -> tuple:
         """The product of (t_j - t_i) over the edges as ((packed exponents,
-        coefficient), ...), equal monomials merged."""
+        coefficient), ...): a tree's 2^edges orientations have distinct
+        in-degree vectors, so the monomials are distinct, coefficients +-1."""
         w = self.width
         keys, coefs = [0], [1]
         for i, j in tree:
             hi, lo = 1 << w * j, 1 << w * i
             keys = [a + hi for a in keys] + [a + lo for a in keys]
             coefs += [-c for c in coefs]
-        terms = defaultdict(int)
-        for a, c in zip(keys, coefs):
-            terms[a] += c
-        return tuple((a, c) for a, c in terms.items() if c)
+        return tuple(zip(keys, coefs))
 
-    def _floor_steps(self, tree) -> tuple:
-        """Per floor h, its state field and its choices, and the number of
-        terms per diagram.  A state packs the exponent so far (field 0) with
-        the edges still open to each floor j (field j + 1).  A choice takes
-        t_h from c of the m edges (h, j), with coefficient (-1)^c comb(m, c),
-        and leaves m - c open until floor j."""
-        n, w = self.n, self.width
-        steps, terms = [], 0
-        opened = [0] * n            # edges to each floor from at or below h
-        entering = 1                # states entering floor h
-        for h in range(n):
+    def _terms(self, tree) -> int:
+        """Terms per diagram of the floor-by-floor plan: over floors h, the
+        states entering h, prod over j >= h of 1 + the edges opened into j
+        below h, times the 2^(edges from h upward) choices."""
+        opened, terms = [1] * self.n, 0
+        for h in range(self.n):
+            tops = [j for i, j in tree if i == h]
+            terms += prod(opened[h:]) << len(tops)
+            for j in tops:
+                opened[j] += 1
+        return terms
+
+    def _floor_steps(self, tree) -> list:
+        """Per floor h, its state field and its choices.  A state packs the
+        exponent so far (field 0) with the edges still open to each floor j
+        (field j + 1).  A choice takes t_h from an edge (h, j), with
+        coefficient -1, or leaves it open until floor j."""
+        w, steps = self.width, []
+        for h in range(self.n):
             choices = [(1, 0)]
-            for j, m in sorted(Counter(j for i, j in tree if i == h).items()):
-                opened[j] += m
-                choices = [(coef * (-1) ** c * comb(m, c), add + c + ((m - c) << w * (j + 1)))
-                           for coef, add in choices for c in range(m + 1)]
+            for j in sorted(j for i, j in tree if i == h):
+                choices = [(coef * sign, add + step) for coef, add in choices
+                           for sign, step in ((1, 1 << w * (j + 1)), (-1, 1))]
             steps.append((w * (h + 1), [(coef, add, add & self.low) for coef, add in choices]))
-            terms += entering * len(choices)
-            entering = prod(1 + k for k in opened[h + 1:])
-        return steps, terms
+        return steps
 
     def _integral(self, steps, e, u) -> int:
         """N! times the integral of prod_h t_h^(e_h) (1 - t_h)^(u_h) and the
@@ -299,9 +306,9 @@ class _Markings:
 
     def count(self, tree, down, up) -> int:
         if tree != self.tree:
-            steps, terms = self._floor_steps(tree)
-            plan = (None, steps) if terms < 1 << len(tree) else (self._monomials(tree), None)
-            self.tree, self.plan = tree, plan
+            self.tree = tree
+            self.plan = ((None, self._floor_steps(tree)) if self._terms(tree) < 1 << len(tree)
+                         else (self._monomials(tree), None))
         return self._evaluate(*self.plan, down, up)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     ParityError,
     WQueryError,
 )
-from .lattice import FAMILIES, SURFACES, constraint_count
+from .lattice import FAMILIES, SURFACES, constraint_count, quadric_coords
 
 CACHE_ENV = "PEZZO_CACHE_DIR"
 
@@ -138,6 +138,15 @@ def _w_l0_surface(key: InvariantKey, total: int) -> int:
     of a class with nonzero complex count ``total``.  A class with a
     degenerate polygon is a rigid smooth curve through no points: it
     counts +1.
+
+    A quadric-side class (a, b; alpha, beta), in qx2 coordinates, has the
+    rectangles (a, b; alpha, beta), (c, a; a - beta, a - alpha) and
+    (c, b; b - beta, b - alpha), c = a + b - alpha - beta: one orbit of the
+    point permutations and the Cremona map of the thrice-blown plane, real
+    deformation equivalences that keep W (Itenberg-Kharlamov-Shustin 2013).
+    A rectangle with both sides positive has as many floors as its short
+    side, so a mate is lower exactly when 0 < c < min(a, b).  The class is
+    then counted on (c, a; ...), whose cuts always fit, else on its own.
     """
     try:
         pc = floor.polygon_of(key.space, key.cls)
@@ -147,6 +156,11 @@ def _w_l0_surface(key: InvariantKey, total: int) -> int:
         if total == 1 and constraint_count(SURFACES[key.space], key.cls) == 0:
             return 1
         raise
+    if pc.surface_id != "p2":
+        a, b, alpha, beta = quadric_coords(SURFACES[key.space], key.cls)
+        c = a + b - alpha - beta
+        if 0 < c < min(a, b):
+            pc = floor.polygon_of("qx2", (c, a, a - beta, a - alpha))
     return floor.fd_count_real_l0(pc)
 
 

@@ -141,6 +141,20 @@ def test_dump_diagrams_enumerates_once(monkeypatch):
     assert hashlib.md5(text.encode()).hexdigest() == "fd01e9451201cc4e38bf6660dffa6a5e"
 
 
+@pytest.mark.parametrize("command, last, digest", [
+    ("gw2", "401172", "32a4babe0a140b56c87d62e1a5e0dfa0"),
+    ("w2", "71360", "fe1209cdb69a32bbe893ee62122a1c54"),
+])
+def test_dump_keeps_the_class_polygon(command, last, digest):
+    # W of qx2 (5,5;3,4) is counted on its orbit mate (3,5;1,2), but the dump
+    # lists the class's own 1346 diagrams, byte for byte as when W was
+    # counted on them
+    argv = [command, "--surface", "qx2", "--class", "5,5,3,4", "--dump-diagrams"]
+    code, text = run(argv)
+    assert code == 0 and text.splitlines()[-1] == last
+    assert hashlib.md5(text.encode()).hexdigest() == digest
+
+
 def _floor_sum(dump_lines) -> int:
     """Sum of decorations * markings * prod(w^2 over edges) over dump lines."""
     total = 0

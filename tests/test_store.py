@@ -3,17 +3,25 @@ import io
 import os
 import random
 import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pezzo
+from pezzo import floor
 from pezzo.combine import WelschingerQuery, w_threefold
-from pezzo.errors import CacheError, CsvParseError, DataUnavailableError, DomainError
+from pezzo.errors import (
+    CacheError,
+    CsvParseError,
+    DataUnavailableError,
+    DegeneratePolygonError,
+    DomainError,
+)
 from pezzo.gw import gw_surface
-from pezzo.lattice import FAMILIES, SURFACES, monodromy
-from pezzo.store import InvariantKey, Store, space_rank
+from pezzo.lattice import FAMILIES, SURFACES, constraint_count, genus, monodromy
+from pezzo.store import InvariantKey, Store, _w_l0_surface, gw_of, space_rank
 from pezzo.tables import gw_deg6_table
 
 
@@ -379,3 +387,76 @@ def test_served_values_respect_complex_bound(store):
         w = store.get_or_compute(InvariantKey("W", "qx2", cls, 0))
         total = gw_surface(SURFACES["qx2"], cls)
         assert abs(w) <= total and (w - total) % 2 == 0
+
+
+def _quadric_keys(top):
+    """W keys of every q, qx1 and qx2 class with entries 0..top, cuts from -1."""
+    cuts = range(-1, top + 1)
+    for a in range(top + 1):
+        for b in range(top + 1):
+            yield InvariantKey("W", "q", (a, b))
+            for k in cuts:
+                yield InvariantKey("W", "qx1", (a, b, k))
+                for alpha in cuts:
+                    yield InvariantKey("W", "qx2", (a, b, alpha, k))
+
+
+def test_orbit_rectangle_sweep(monkeypatch):
+    # with the count replaced by the polygon it is given, _w_l0_surface shows
+    # which rectangle it counts: the class's own, or a lower one with the
+    # same count.  A class with no polygon of its own raises that polygon's
+    # error, or counts +1 when it is rigid.
+    count = floor.fd_count_real_l0
+    monkeypatch.setattr(floor, "fd_count_real_l0", lambda pc: pc)
+    keys = moved = 0
+    for key in _quadric_keys(5):
+        keys += 1
+        total = gw_of(key.space, key.cls)
+        try:
+            counted = _w_l0_surface(key, total)
+        except DegeneratePolygonError as exc:
+            with pytest.raises(DegeneratePolygonError) as own:
+                floor.polygon_of(key.space, key.cls)
+            assert str(own.value) == str(exc)
+            continue
+        if counted == 1:
+            with pytest.raises(DegeneratePolygonError):
+                floor.polygon_of(key.space, key.cls)
+            assert total == 1 and constraint_count(SURFACES[key.space], key.cls) == 0
+            continue
+        own = floor.polygon_of(key.space, key.cls)
+        if counted != own:
+            assert counted.height < own.height, key
+            assert count(counted) == count(own), key
+            moved += 1
+    assert keys == 2052 and moved == 52
+
+
+@st.composite
+def _quadric_classes(draw):
+    space = draw(st.sampled_from(["q", "qx1", "qx2"]))
+    a, b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cuts = [draw(st.integers(0, min(a, b))) for _ in range(SURFACES[space].rank - 2)]
+    return space, (a, b, *cuts)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_quadric_classes())
+def test_orbit_rectangle_keeps_the_count(case):
+    # the rectangle counted is an orbit mate: same complex count, constraint
+    # count and genus, and the same real count as the class's own polygon
+    space, cls = case
+    key = InvariantKey("W", space, cls)
+    total = gw_of(space, key.cls)
+    assume(total)
+    with mock.patch.object(floor, "fd_count_real_l0", wraps=floor.fd_count_real_l0) as spy:
+        value = _w_l0_surface(key, total)
+    (pc,) = spy.call_args.args
+    own = floor.polygon_of(space, key.cls)
+    if pc != own:
+        assert pc.height < own.height
+        assert value == floor.fd_count_real_l0(own)
+    mate, lattice = SURFACES[pc.surface_id], SURFACES[space]
+    assert gw_surface(mate, pc.class_vec) == total
+    assert constraint_count(mate, pc.class_vec) == constraint_count(lattice, key.cls)
+    assert genus(mate, pc.class_vec) == genus(lattice, key.cls)
