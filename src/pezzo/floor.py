@@ -60,7 +60,6 @@ class PolygonClass:
 
     surface_id: str
     class_vec: tuple
-    vertices: tuple          # lattice points, counterclockwise
     slabs: tuple             # (left_step, right_step) per slab, bottom to top
     d_b: int                 # bottom edge length: unbounded weight below
     d_t: int                 # top edge length: unbounded weight above
@@ -105,9 +104,7 @@ def _truncated_rectangle(surface_id, class_vec, a, b, alpha, beta) -> PolygonCla
     slabs = tuple(
         (1 if j + 1 <= alpha else 0, 1 if b - j <= beta else 0) for j in range(b)
     )
-    verts = [(alpha, 0), (a, 0), (a, b - beta), (a - beta, b), (0, b), (0, alpha)]
-    dedup = tuple(v for i, v in enumerate(verts) if v != verts[(i + 1) % len(verts)])
-    return PolygonClass(surface_id, tuple(class_vec), dedup, slabs, a - alpha, a - beta)
+    return PolygonClass(surface_id, tuple(class_vec), slabs, a - alpha, a - beta)
 
 
 def polygon_of(lattice, d: Sequence[int]) -> PolygonClass:
@@ -126,7 +123,7 @@ def polygon_of(lattice, d: Sequence[int]) -> PolygonClass:
     if deg < 1:
         raise DegeneratePolygonError(f"p2({deg}): degree must be positive")
     slabs = tuple((0, 1) for _ in range(deg))
-    return PolygonClass("p2", d, ((0, 0), (deg, 0), (0, deg)), slabs, deg, 0)
+    return PolygonClass("p2", d, slabs, deg, 0)
 
 
 # -- diagram enumeration -------------------------------------------------------
@@ -156,7 +153,6 @@ def _live_weightings(n, divs, d_b, d_t, step) -> list:
     components, and a component that can no longer reach a lower floor ends
     the branch.  ``comp`` labels each floor by the lowest floor it reaches.
     """
-    wmax = d_b + d_t + sum(abs(v) for v in divs)
     hang = [0] * n              # weight above each floor
     edges, t, found = [], [0] * n, []
 
@@ -179,7 +175,7 @@ def _live_weightings(n, divs, d_b, d_t, step) -> list:
         if a == b:
             return
         merged = [min(a, b) if c in (a, b) else c for c in comp]
-        for w in range(1, min(wmax, tj + d_t - nu) + 1, step):
+        for w in range(1, tj + d_t - nu + 1, step):
             hang[i] += w
             edges.append((i, j, w))
             join(j, i + 1, tj - w, merged, nd, nu)
@@ -344,9 +340,7 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
             for extra in _compositions(slack, n):
                 down = tuple(max(v, 0) + x for v, x in zip(t, extra))
                 up = tuple(max(-v, 0) + x for v, x in zip(t, extra))
-                nu = markings.count(tree, down, up)
-                if nu:
-                    yield FloorDiagram(n, divs, edges, down, up, nu, deco)
+                yield FloorDiagram(n, divs, edges, down, up, markings.count(tree, down, up), deco)
 
 
 def fd_count_complex(pc: PolygonClass) -> int:

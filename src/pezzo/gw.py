@@ -2,14 +2,14 @@
 
 ``gw_blowup_p2`` is a four-point associativity recursion on the thrice-blown
 plane (Kontsevich-Manin), seeded with the rigid low-constraint classes, and
-the only complex backend ``gw_surface`` runs.  It first maps a class under
-the quadratic Cremona map, an automorphism of the surface
-(Goettsche-Pandharipande), until its multiplicities sum to at most its
-degree, so one computation serves a whole orbit; it then visits only the
-splittings whose two halves can be nonzero, each with its swap.  It is
-checked against the floor diagrams of ``pezzo.floor``, the classical plane
-recursion and the unreduced recursion over every splitting; the test suite
-keeps the last two as oracles (``tests/oracles.py``).
+the only complex backend ``gw_surface`` runs.  It first maps a class whose
+multiplicities sum past its degree under the quadratic Cremona map, an
+automorphism of the surface (Goettsche-Pandharipande); one step brings the
+sum to at most the degree, so one computation serves a whole orbit.  It
+then visits only the splittings whose two halves can be nonzero, each with
+its swap.  It is checked against the floor diagrams of ``pezzo.floor``, the
+classical plane recursion and the unreduced recursion over every splitting;
+the test suite keeps the last two as oracles (``tests/oracles.py``).
 
 ``gw_surface`` is a change of basis (``quadric_coords``, ``quadric_to_plane``)
 and keeps no cache: the one memo is ``_BLOWUP_MEMO``, the recursion's own
@@ -69,16 +69,18 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
 def _reduce(d: int, a1: int, a2: int, a3: int):
     """None when an arithmetic test shows the count vanishes (a negative
     entry, d <= 0, a negative constraint count or genus, or two
-    multiplicities above d); else the class, sorted, under the quadratic
-    Cremona map while the multiplicities sum past d.  The map
+    multiplicities above d); else the class, sorted, and mapped once under
+    the quadratic Cremona map if the multiplicities sum past d.  The map
     (d; a) -> (2d - sum a; d - a2 - a3, d - a1 - a3, d - a1 - a2) is an
     automorphism of the surface, so it keeps the count, constraint count and
-    genus, and it keeps the pair test and the order of the sorted entries."""
+    genus, and it keeps the pair test and the order of the sorted entries.
+    One step suffices: from s = sum a > d the image sums to 3d - 2s, at
+    most its degree 2d - s."""
     a1, a2, a3 = sorted((a1, a2, a3), reverse=True)
     if (d <= 0 or a3 < 0 or a1 + a2 > d or a1 + a2 + a3 >= 3 * d
             or a1 * (a1 - 1) + a2 * (a2 - 1) + a3 * (a3 - 1) > (d - 1) * (d - 2)):
         return None
-    while a1 + a2 + a3 > d:
+    if a1 + a2 + a3 > d:
         d, a1, a2, a3 = 2 * d - a1 - a2 - a3, d - a2 - a3, d - a1 - a3, d - a1 - a2
     return d, a1, a2, a3
 
@@ -143,8 +145,6 @@ def _gw_blowup(d: int, a1: int, a2: int, a3: int) -> int:
                     n1 = _BLOWUP_MEMO.get((d1, b1, b2, b3))
                     if n1 is None:
                         n1 = _count(d1, b1, b2, b3)
-                    if not n1:
-                        continue
                     n2 = _BLOWUP_MEMO.get((d2, c1, c2, c3))
                     if n2 is None:
                         n2 = _count(d2, c1, c2, c3)

@@ -26,15 +26,11 @@ from .errors import DomainError, ParityError, RankMismatchError, UnsupportedLatt
 ClassVector = tuple  # tuple of ints, length = lattice rank
 
 
-def _vec(v: Sequence[int]) -> ClassVector:
-    return tuple(map(int, v))
-
-
 class _Ranked:
     """Both records: ``check`` makes a class a tuple of ints of their rank."""
 
     def check(self, d: Sequence[int]) -> ClassVector:
-        d = _vec(d)
+        d = tuple(map(int, d))
         if len(d) != self.rank:
             raise RankMismatchError(
                 f"{self.id}: expected rank {self.rank}, got vector of length {len(d)}"
@@ -157,12 +153,10 @@ def constraint_count(space, d: Sequence[int]) -> int:
 
 
 def genus(lattice: SurfaceLattice, d: Sequence[int]) -> int:
-    """Arithmetic genus (K.D + D^2 + 2) / 2 of the class."""
+    """Arithmetic genus (K.D + D^2 + 2) / 2 of the class.  K.D + D^2 is even:
+    d(d - 3), or 2(ab - a - b) on the quadric side, less sum a_i(a_i - 1)."""
     d = lattice.check(d)
-    val = pair(lattice, lattice.canonical, d) + pair(lattice, d, d) + 2
-    if val % 2:
-        raise ParityError(f"{lattice.id}: K.D + D^2 + 2 = {val} is odd")
-    return val // 2
+    return (pair(lattice, lattice.canonical, d) + pair(lattice, d, d) + 2) // 2
 
 
 def monodromy(lattice: SurfaceLattice, d: Sequence[int]) -> ClassVector:

@@ -191,9 +191,6 @@ class Store:
 
     # -- persistence ----------------------------------------------------------
 
-    def _cache_path(self, space: str) -> str:
-        return os.path.join(self.cache_dir, f"{space}.store")
-
     def _load_cache(self):
         """Read every ``<space>.store`` file.  A last line with no newline is
         an append cut short (``_persist`` writes whole lines): it is dropped
@@ -229,7 +226,7 @@ class Store:
         if not self.cache_dir:
             return
         cls = ",".join(map(str, key.cls))
-        with open(self._cache_path(key.space), "a", encoding="utf-8") as fh:
+        with open(os.path.join(self.cache_dir, f"{key.space}.store"), "a", encoding="utf-8") as fh:
             fh.write(f"{key.kind},{cls},{key.pairs},{value}\n")
 
     def _load_bundled_fixtures(self):
@@ -238,9 +235,7 @@ class Store:
             ("welschinger_plane.csv", "p2"),
             ("welschinger_blown_quadric.csv", "qx1"),
         ):
-            path = os.path.join(data_dir, name)
-            if os.path.exists(path):
-                self.ingest_csv(path, space, persist=False)
+            self.ingest_csv(os.path.join(data_dir, name), space, persist=False)
 
     # -- core map -------------------------------------------------------------
 

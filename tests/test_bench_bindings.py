@@ -16,9 +16,11 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 def test_bench_tracer_installs():
     path = os.pathsep.join(os.path.join(ROOT, sub) for sub in ("src", "bench"))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PEZZO_CACHE_DIR", None)
     proc = subprocess.run(
         [sys.executable, "-c", "import layers; layers.install(layers.Tracer('t'))"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -21,15 +21,16 @@ from pezzo.lattice import SURFACES, constraint_count
 
 def test_polygon_examples():
     tri = polygon_of("p2", (3,))
-    assert tri.vertices == ((0, 0), (3, 0), (0, 3))
+    assert tri.slabs == ((0, 1),) * 3
     assert tri.d_b == 3 and tri.d_t == 0 and tri.height == 3
 
     sq = polygon_of("q", (2, 2))
-    assert sq.vertices == ((0, 0), (2, 0), (2, 2), (0, 2))
+    assert sq.slabs == ((0, 0),) * 2
     assert sq.d_b == sq.d_t == 2
 
     hexagon = polygon_of("qx2", (2, 2, 1, 2))
-    assert (1, 0) in hexagon.vertices and (0, 1) in hexagon.vertices
+    # the cut alpha = 1 is a left step on the bottom slab, beta = 2 a right step on both
+    assert hexagon.slabs == ((1, 1), (0, 1))
     assert hexagon.d_b == 1 and hexagon.d_t == 0
 
 
@@ -92,7 +93,7 @@ def _shape(surface, cls):
         pc = polygon_of(surface, cls)
     except DegeneratePolygonError:
         return None
-    return pc.vertices, pc.slabs, pc.d_b, pc.d_t
+    return pc.slabs, pc.d_b, pc.d_t
 
 
 def test_blowdown_compatibility():

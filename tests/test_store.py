@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import random
+import sys
 import tempfile
 from unittest import mock
 
@@ -208,6 +209,40 @@ def test_ingest_parse_errors(tmp_path, bare_store):
     path = _write(tmp_path / "bad3.csv", "space,c1,l,value\np2,x,0,1\n")
     with pytest.raises(CsvParseError):
         bare_store.ingest_csv(path, "p2")
+    path = _write(tmp_path / "bad4.csv", "space,c1,l,value\np2,3,0,abc\n")
+    with pytest.raises(CsvParseError) as err:
+        bare_store.ingest_csv(path, "p2")
+    assert err.value.lineno == 2
+    path = _write(tmp_path / "bad5.csv", "# only\n# comments\n")
+    with pytest.raises(CsvParseError) as err:
+        bare_store.ingest_csv(path, "p2")
+    assert err.value.lineno == 1 and "missing header line" in str(err.value)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return
+    # past the int/str digit limit a value fails its line, not int(); the
+    # limit is set here because cli.main lifts it for the whole process
+    path = _write(tmp_path / "bad6.csv", "space,c1,l,value\np2,3,0," + "7" * 5000 + "\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CsvParseError) as err:
+            bare_store.ingest_csv(path, "p2")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.lineno == 2
+
+
+def test_ingest_twisted_threefold_rows(tmp_path):
+    # deg6t rows are checked against GW(deg6; 2, 2, 1) = 1
+    store = Store(cache_dir=None, load_fixtures=False)
+    header = "space,c1,c2,l,value\n"
+    report = store.ingest_csv(_write(tmp_path / "ok.csv", header + "deg6t,2,1,0,1\n"), "deg6t")
+    assert report.inserted == 1 and report.rejected == []
+    assert store.lookup(InvariantKey("W", "deg6t", (2, 1), 0)) == 1
+    store = Store(cache_dir=None, load_fixtures=False)
+    report = store.ingest_csv(_write(tmp_path / "big.csv", header + "deg6t,2,1,0,3\n"), "deg6t")
+    assert report.inserted == 0
+    assert report.rejected == [(2, "|3| exceeds complex count 1")]
 
 
 def test_ingest_non_utf8_reports_line(tmp_path, bare_store):
