@@ -49,6 +49,24 @@ _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: none
 
 
+# the store's own rows cross the int/str digit limit through Decimal, which
+# has none, so every row it writes is written and reads back under any limit
+# (imported only then: it costs a fresh process 2 ms and 0.4 MB)
+def _row_text(key: InvariantKey, value: int) -> str:
+    fields = (*key.cls, key.pairs, value)
+    try:
+        text = ",".join(map(str, fields))
+    except ValueError:  # past the limit
+        from decimal import Decimal
+        text = ",".join(str(Decimal(x)) for x in fields)
+    return f"{key.kind},{text}\n"
+
+
+def _long_int(token: str) -> int:
+    from decimal import Decimal
+    return int(Decimal(token)) if _INTEGER.fullmatch(token) else int(token)
+
+
 def space_rank(space: str) -> int:
     if space in SURFACES:
         return SURFACES[space].rank
@@ -137,16 +155,13 @@ def _w_l0_surface(key: InvariantKey, total: int) -> int:
     """Totally real count on a standard toric surface, via floor diagrams,
     of a class with nonzero complex count ``total``.  A class with a
     degenerate polygon is a rigid smooth curve through no points: it
-    counts +1.
+    counts +1.  A quadric-side class is counted on ``_lowest_rectangle``.
 
-    A quadric-side class (a, b; alpha, beta), in qx2 coordinates, has the
-    rectangles (a, b; alpha, beta), (c, a; a - beta, a - alpha) and
-    (c, b; b - beta, b - alpha), c = a + b - alpha - beta: one orbit of the
-    point permutations and the Cremona map of the thrice-blown plane, real
-    deformation equivalences that keep W (Itenberg-Kharlamov-Shustin 2013).
-    A rectangle with both sides positive has as many floors as its short
-    side, so a mate is lower exactly when 0 < c < min(a, b).  The class is
-    then counted on (c, a; ...), whose cuts always fit, else on its own.
+    ``Store._compute`` first sends a qx1/qx2 class with a cut of 1 to its
+    ``_cut_zero`` class: it serves that class's stored value, whatever its
+    origin (fixture, CSV ingest, cache file or count), else counts on the
+    lower of the two classes' ``_lowest_rectangle``, the cut-0 one on a
+    tie.  Only the key asked for is stored.
     """
     try:
         pc = floor.polygon_of(key.space, key.cls)
@@ -156,12 +171,39 @@ def _w_l0_surface(key: InvariantKey, total: int) -> int:
         if total == 1 and constraint_count(SURFACES[key.space], key.cls) == 0:
             return 1
         raise
+    return floor.fd_count_real_l0(_lowest_rectangle(pc))
+
+
+def _lowest_rectangle(pc: floor.PolygonClass) -> floor.PolygonClass:
+    """The polygon with the fewest floors in the orbit of ``pc``, ``pc`` on
+    a tie.  A quadric-side class (a, b; alpha, beta), in qx2 coordinates,
+    has the rectangles (a, b; alpha, beta), (c, a; a - beta, a - alpha) and
+    (c, b; b - beta, b - alpha), c = a + b - alpha - beta: one orbit of the
+    point permutations and the Cremona map of the thrice-blown plane, real
+    deformation equivalences that keep W (Itenberg-Kharlamov-Shustin 2013).
+    A rectangle with both sides positive has as many floors as its short
+    side, so a mate is lower exactly when 0 < c < ``pc.height``.  The class
+    is then counted on (c, a; ...), whose cuts always fit, else on its own.
+    """
     if pc.surface_id != "p2":
-        a, b, alpha, beta = quadric_coords(SURFACES[key.space], key.cls)
+        a, b, alpha, beta = quadric_coords(SURFACES[pc.surface_id], pc.class_vec)
         c = a + b - alpha - beta
-        if 0 < c < min(a, b):
-            pc = floor.polygon_of("qx2", (c, a, a - beta, a - alpha))
-    return floor.fd_count_real_l0(pc)
+        if 0 < c < pc.height:
+            return floor.polygon_of("qx2", (c, a, a - beta, a - alpha))
+    return pc
+
+
+def _cut_zero(key: InvariantKey) -> Optional[InvariantKey]:
+    """A qx1/qx2 key whose rectangle has a cut of 1, with each such cut made
+    0; else None.  A cut of 1 is a real blown-up point taken as a point
+    constraint: W(X~, D - E, l) = W(X, D, l) (Itenberg-Kharlamov-Shustin
+    2013)."""
+    if key.space not in ("qx1", "qx2"):
+        return None
+    a, b, *cuts = key.cls
+    if 1 not in cuts or min(cuts) < 0 or max(cuts) > min(a, b):
+        return None  # no cut of 1, or no rectangle: the key's own rule
+    return InvariantKey("W", key.space, (a, b, *(0 if x == 1 else x for x in cuts)))
 
 
 @dataclass
@@ -193,7 +235,7 @@ class Store:
 
     def _load_cache(self):
         """Read every ``<space>.store`` file.  A last line with no newline is
-        an append cut short (``_persist`` writes whole lines): it is dropped
+        an append cut short (``insert`` writes whole lines): it is dropped
         from the file with a warning.  Any other bad row, or one that
         contradicts a stored value, raises CacheError."""
         for name in sorted(os.listdir(self.cache_dir)):
@@ -214,20 +256,16 @@ class Store:
                     if not line or line.startswith("#"):
                         continue
                     parts = line.split(",")
-                    cls = tuple(int(x) for x in parts[1:-2])
-                    key = InvariantKey(parts[0], space, cls, int(parts[-2]))
-                    value = int(parts[-1])
+                    try:
+                        nums = [int(x) for x in parts[1:]]
+                    except ValueError:  # no integer, or one past the digit limit
+                        nums = [_long_int(x) for x in parts[1:]]
+                    key = InvariantKey(parts[0], space, tuple(nums[:-2]), nums[-2])
+                    value = nums[-1]
                 except (ValueError, IndexError) as exc:
                     raise CacheError(f"{path}:{lineno}: bad row {raw!r}: {exc}") from None
                 if not self.insert(key, value, persist=False):
                     raise CacheError(f"{path}:{lineno}: {key} is {self._data[key]}, not {value}")
-
-    def _persist(self, key: InvariantKey, value: int):
-        if not self.cache_dir:
-            return
-        cls = ",".join(map(str, key.cls))
-        with open(os.path.join(self.cache_dir, f"{key.space}.store"), "a", encoding="utf-8") as fh:
-            fh.write(f"{key.kind},{cls},{key.pairs},{value}\n")
 
     def _load_bundled_fixtures(self):
         data_dir = os.path.join(os.path.dirname(__file__), "data")
@@ -240,14 +278,18 @@ class Store:
     # -- core map -------------------------------------------------------------
 
     def insert(self, key: InvariantKey, value: int, persist: bool = True) -> bool:
-        """Insert an entry; False when it conflicts."""
+        """Insert an entry; False when it conflicts.  The row is written
+        before the entry is kept, so a write that fails leaves neither."""
         with self._lock:
             old = self._data.get(key)
             if old is not None:
                 return old == value
+            if persist and self.cache_dir:
+                row = _row_text(key, value)
+                with open(os.path.join(self.cache_dir, f"{key.space}.store"), "a",
+                          encoding="utf-8") as fh:
+                    fh.write(row)
             self._data[key] = value
-            if persist:
-                self._persist(key, value)
             return True
 
     def lookup(self, key: InvariantKey):
@@ -281,7 +323,15 @@ class Store:
             return 0
         if key.pairs:
             raise DataUnavailableError([key])
-        return _w_l0_surface(key, total)
+        zero = _cut_zero(key)
+        if zero is None:
+            return _w_l0_surface(key, total)
+        # the cut-0 key is read, never stored (see _w_l0_surface)
+        known = self._data.get(zero)
+        if known is not None:
+            return known
+        own, cut0 = (_lowest_rectangle(floor.polygon_of(k.space, k.cls)) for k in (key, zero))
+        return floor.fd_count_real_l0(cut0 if cut0.height <= own.height else own)
 
     # -- ingestion --------------------------------------------------------------
 

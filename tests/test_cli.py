@@ -404,6 +404,34 @@ def test_cache_info_counts_only_cache_files(tmp_path):
     assert (code, text) == (0, f"cache dir: {cache}\nqx2: 1 entries\n")
 
 
+def test_real_point_cut_reads_the_cut_zero_value(tmp_path, monkeypatch):
+    # qx1 (4,5;1) has a real blown-up point at its cut of 1: it is served the
+    # stored (4,5;0) value without a count, and only the two keys asked for
+    # reach the cache
+    cache = str(tmp_path / "cache")
+    code, text = run(["--cache-dir", cache, "w2", "--surface", "qx1", "--class", "4,5,0"])
+    assert code == 0
+
+    def no_count(pc):
+        raise AssertionError(f"counted {pc.class_vec}")
+
+    monkeypatch.setattr(floor, "fd_count_real_l0", no_count)
+    assert run(["--cache-dir", cache, "w2", "--surface", "qx1", "--class", "4,5,1"]) == (0, text)
+    info = run(["--cache-dir", cache, "cache", "info"])
+    assert info == (0, f"cache dir: {cache}\nqx1: 2 entries\n")
+    value = text.strip()
+    with open(os.path.join(cache, "qx1.store"), encoding="utf-8") as fh:
+        assert fh.read() == f"W,4,5,0,0,{value}\nW,4,5,1,0,{value}\n"
+
+
+def test_twisted_cuts_are_not_real_points():
+    # the qx2t cuts are a conjugate pair of blown-up points, not real ones:
+    # the real-point rule leaves w-deg6t's ? cells as they were
+    code, text = run(["table", "w-deg6t"])
+    assert code == 2
+    assert hashlib.md5(text.encode()).hexdigest() == "39dadb7ee4c2d3f01bf147a7f2272b23"
+
+
 def test_table_empty_csv():
     # a table with no column prints no header either
     assert run(["table", "w-deg7", "--max-d", "0", "--format", "csv"]) == (0, "\n")

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pezzo
-from pezzo import floor
+from pezzo import cli, floor, store as store_mod
 from pezzo.combine import WelschingerQuery, w_threefold
 from pezzo.errors import (
     CacheError,
@@ -495,3 +495,95 @@ def test_orbit_rectangle_keeps_the_count(case):
     assert gw_surface(mate, pc.class_vec) == total
     assert constraint_count(mate, pc.class_vec) == constraint_count(lattice, key.cls)
     assert genus(mate, pc.class_vec) == genus(lattice, key.cls)
+
+
+def _outcome(thunk):
+    try:
+        return "ok", thunk()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_real_point_cut_sweep(monkeypatch):
+    # a cut of 1 is a real blown-up point: on every canonical class that
+    # _quadric_keys yields, _compute returns what the class's own rule gives,
+    # count or error, though it counts a cut-1 class on a cut-0 rectangle
+    count, memo = floor.fd_count_real_l0, {}
+
+    def shared(pc):  # one count per polygon shape, on both sides
+        shape = (pc.slabs, pc.d_b, pc.d_t)
+        if shape not in memo:
+            memo[shape] = count(pc)
+        return memo[shape]
+
+    monkeypatch.setattr(floor, "fd_count_real_l0", shared)
+    store = Store(load_fixtures=False)
+    keys = sorted(set(_quadric_keys(5)), key=str)
+    traded = 0
+    for key in keys:
+        total = gw_of(key.space, key.cls)
+        own = _outcome(lambda: 0 if total == 0 else _w_l0_surface(key, total))
+        assert _outcome(lambda: store._compute(key)) == own, key
+        traded += total != 0 and store_mod._cut_zero(key) is not None
+    assert len(keys) == 1176 and traded == 95
+    assert not store._data
+
+
+@st.composite
+def _real_point_classes(draw):
+    space = draw(st.sampled_from(["qx1", "qx2"]))
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cuts = [1] + [draw(st.integers(0, min(a, b)))] * (space == "qx2")
+    return space, (a, b, *draw(st.permutations(cuts)))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_real_point_classes())
+def test_real_point_cut_keeps_the_count(case):
+    # W(X~, D - E, l) = W(X, D, l) at a real blown-up point: each class's
+    # own polygon, with every cut of 1 made 0, has the same real count
+    space, cls = case
+    zero = cls[:2] + tuple(0 if x == 1 else x for x in cls[2:])
+    assert (floor.fd_count_real_l0(floor.polygon_of(space, cls))
+            == floor.fd_count_real_l0(floor.polygon_of(space, zero)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_quadric_classes())
+def test_computed_real_counts_respect_the_complex_count(case):
+    # W = GW mod 2 and |W| <= GW on computed l = 0 counts, cut-1 classes
+    # included, whether counted or read off the stored cut-0 class
+    space, cls = case
+    store = Store(load_fixtures=False)
+    key = InvariantKey("W", space, cls)
+    zero = store_mod._cut_zero(key)
+    for k in ([zero] if zero else []) + [key]:
+        w, total = store.get_or_compute(k), gw_of(k.space, k.cls)
+        assert (w - total) % 2 == 0 and abs(w) <= total, k
+
+
+def test_cache_rows_pass_the_digit_limit(tmp_path, monkeypatch):
+    # GW(p2; 200) has 1227 digits, past a 640-digit int/str limit: a row the
+    # CLI wrote with the limit lifted loads again, a value computed under the
+    # limit is written and loads again, and a write that fails leaves no trace
+    key = InvariantKey("GW", "p2", (200,))
+    value = gw_of("p2", (200,))
+    w_key = InvariantKey("W", "p2", (200,))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        csv = _write(tmp_path / "big.csv", f"space,c1,l,value\np2,200,0,{value}\n")
+        c1, c2, c3 = (str(tmp_path / name) for name in ("c1", "c2", "c3"))
+        assert cli.main(["--cache-dir", c1, "ingest", "--surface", "p2", "--file", csv],
+                        out=io.StringIO()) == 0
+        sys.set_int_max_str_digits(640)
+        assert Store(cache_dir=c1).lookup(w_key) == value
+        assert Store(cache_dir=c2).get_or_compute(key) == value
+        assert Store(cache_dir=c2).lookup(key) == value
+        store = Store(cache_dir=c3)
+        monkeypatch.setattr(store_mod, "_row_text", mock.Mock(side_effect=OSError("full")))
+        with pytest.raises(OSError):
+            store.get_or_compute(key)
+        assert store.lookup(key) is None and os.listdir(c3) == []
+    finally:
+        sys.set_int_max_str_digits(limit)
