@@ -110,7 +110,7 @@ def w_threefold(query: WelschingerQuery, store: Store) -> int:
     support predicate applies."""
     family = FAMILIES[query.family_id]
     d = query.cls
-    if family.id == "deg6":
+    if family.id == "deg6":  # the orbit's point permutations (``lattice.cremona``) sort a, b, c
         d = tuple(sorted(d, reverse=True))
     line = family.line(d)
     if _line_vanishes(family, line):

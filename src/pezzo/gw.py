@@ -3,8 +3,8 @@
 ``gw_blowup_p2`` is a four-point associativity recursion on the thrice-blown
 plane (Kontsevich-Manin), seeded with the rigid low-constraint classes, and
 the only complex backend ``gw_surface`` runs.  It first maps a class whose
-multiplicities sum past its degree under the quadratic Cremona map, an
-automorphism of the surface (Goettsche-Pandharipande); one step brings the
+multiplicities sum past its degree under the Cremona map ``lattice.cremona``,
+an automorphism of the surface (Goettsche-Pandharipande); one step brings the
 sum to at most the degree, so one computation serves a whole orbit.  It
 then visits only the splittings whose two halves can be nonzero, each with
 its swap.  It is checked against the floor diagrams of ``pezzo.floor``, the
@@ -27,7 +27,8 @@ import itertools
 from typing import Sequence
 
 from .errors import DomainError
-from .lattice import QX2, SURFACES, SurfaceLattice, monodromy, quadric_coords, quadric_to_plane
+from .lattice import (QX2, SURFACES, SurfaceLattice, cremona, monodromy, quadric_coords,
+                      quadric_to_plane)
 
 # -- blown-up plane ----------------------------------------------------------
 
@@ -70,18 +71,16 @@ def _reduce(d: int, a1: int, a2: int, a3: int):
     """None when an arithmetic test shows the count vanishes (a negative
     entry, d <= 0, a negative constraint count or genus, or two
     multiplicities above d); else the class, sorted, and mapped once under
-    the quadratic Cremona map if the multiplicities sum past d.  The map
-    (d; a) -> (2d - sum a; d - a2 - a3, d - a1 - a3, d - a1 - a2) is an
-    automorphism of the surface, so it keeps the count, constraint count and
-    genus, and it keeps the pair test and the order of the sorted entries.
-    One step suffices: from s = sum a > d the image sums to 3d - 2s, at
-    most its degree 2d - s."""
+    ``lattice.cremona`` if the multiplicities sum past d.  That automorphism
+    keeps the count, constraint count, genus, pair test and the order of
+    the sorted entries.  One step suffices: from s = sum a > d the image
+    sums to 3d - 2s, at most its degree 2d - s."""
     a1, a2, a3 = sorted((a1, a2, a3), reverse=True)
     if (d <= 0 or a3 < 0 or a1 + a2 > d or a1 + a2 + a3 >= 3 * d
             or a1 * (a1 - 1) + a2 * (a2 - 1) + a3 * (a3 - 1) > (d - 1) * (d - 2)):
         return None
     if a1 + a2 + a3 > d:
-        d, a1, a2, a3 = 2 * d - a1 - a2 - a3, d - a2 - a3, d - a1 - a3, d - a1 - a2
+        d, a1, a2, a3 = cremona((d, a1, a2, a3))
     return d, a1, a2, a3
 
 
@@ -160,9 +159,9 @@ def canonical_class(lattice: SurfaceLattice, d: Sequence[int]) -> tuple:
     """Canonical representative: minimal under monodromy, and under
     permutation of the blow-up multiplicities on the plane side."""
     d = lattice.check(d)
-    if lattice.side == "p2":
+    if lattice.side == "p2":  # the orbit's point permutations (``lattice.cremona``)
         return (d[0],) + tuple(sorted(d[1:], reverse=True))
-    return min(d, monodromy(lattice, d))
+    return min(d, monodromy(lattice, d))  # ``lattice.cremona`` on qx2, a point swap on q, qx1
 
 
 def gw_surface(lattice, d: Sequence[int]) -> int:

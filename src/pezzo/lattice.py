@@ -197,14 +197,31 @@ def quadric_coords(lattice: SurfaceLattice, d: Sequence[int]) -> ClassVector:
 
 
 def quadric_to_plane(d: Sequence[int]) -> ClassVector:
-    """Rewrite a class on the twice-blown quadric in the thrice-blown plane basis.
-
-    (a, b; alpha, beta) -> (a + b - alpha; a - alpha, b - alpha, beta).
-    Injective; preserves intersection numbers, genus and constraint counts.
-    """
-    d = QX2.check(d)
-    a, b, alpha, beta = d
+    """Rewrite a class on the twice-blown quadric in the thrice-blown plane
+    basis, (a, b; alpha, beta) -> (a + b - alpha; a - alpha, b - alpha, beta).
+    Injective; preserves intersection numbers, genus and constraint counts."""
+    a, b, alpha, beta = QX2.check(d)
     return (a + b - alpha, a - alpha, b - alpha, beta)
+
+
+def plane_to_quadric(d: Sequence[int]) -> ClassVector:
+    """Inverse of ``quadric_to_plane``: (d; a1, a2, a3) -> (d - a2, d - a1; d - a1 - a2, a3)."""
+    d, a1, a2, a3 = P2X3.check(d)
+    return (d - a2, d - a1, d - a1 - a2, a3)
+
+
+def cremona(d: Sequence[int]) -> ClassVector:
+    """The quadratic Cremona map (d; a) -> (2d - a1 - a2 - a3; d - a2 - a3,
+    d - a1 - a3, d - a1 - a2), on an unchecked class.  With the point
+    permutations it generates the Weyl group of the degree-6 del Pezzo
+    surface, of order 12, which keeps GW (Goettsche-Pandharipande 1998) and,
+    at real points, W (Itenberg-Kharlamov-Shustin 2013).  Through
+    ``quadric_to_plane`` it is the qx2 monodromy alpha <-> beta (checked on
+    every class with entries -2..8), and the permutations exchange the three
+    rectangles (d; a1, a2, a3), (d; a2, a3, a1), (d; a1, a3, a2), that is
+    (a, b; alpha, beta), (c, a; a - beta, a - alpha), (c, b; b - beta, b - alpha), c = d - a3."""
+    d, a1, a2, a3 = d
+    return (2 * d - a1 - a2 - a3, d - a2 - a3, d - a1 - a3, d - a1 - a2)
 
 
 # Euler characteristics of the ambient threefolds, by surface degree.

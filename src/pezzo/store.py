@@ -31,7 +31,8 @@ from .errors import (
     ParityError,
     WQueryError,
 )
-from .lattice import FAMILIES, SURFACES, constraint_count, quadric_coords
+from .lattice import (FAMILIES, SURFACES, constraint_count, plane_to_quadric, quadric_coords,
+                      quadric_to_plane)
 
 CACHE_ENV = "PEZZO_CACHE_DIR"
 
@@ -49,17 +50,18 @@ _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: none
 
 
-# the store's own rows cross the int/str digit limit through Decimal, which
-# has none, so every row it writes is written and reads back under any limit
-# (imported only then: it costs a fresh process 2 ms and 0.4 MB)
-def _row_text(key: InvariantKey, value: int) -> str:
-    fields = (*key.cls, key.pairs, value)
+# str() past the int/str digit limit, through Decimal, which has none: every row and
+# message prints under any limit (imported only then: it costs a process 2 ms and 0.4 MB)
+def _text(number) -> str:
     try:
-        text = ",".join(map(str, fields))
+        return str(number)
     except ValueError:  # past the limit
         from decimal import Decimal
-        text = ",".join(str(Decimal(x)) for x in fields)
-    return f"{key.kind},{text}\n"
+        return str(Decimal(number))
+
+
+def _row_text(key: InvariantKey, value: int) -> str:
+    return f"{key.kind},{','.join(map(_text, (*key.cls, key.pairs, value)))}\n"
 
 
 def _long_int(token: str) -> int:
@@ -106,7 +108,7 @@ class InvariantKey:
             if self.kind == "GW" or lat.vanishing_cycle is not None:
                 cls = gw.canonical_class(lat, cls)
         elif self.space in _DIAGONAL:
-            # the monodromy, restricted to the diagonal, swaps the two cuts
+            # the monodromy (``lattice.cremona``), restricted to the diagonal, swaps the two cuts
             a, alpha, beta = cls
             cls = min(cls, (a, beta, alpha))
         elif self.space == "deg6":
@@ -114,7 +116,7 @@ class InvariantKey:
         object.__setattr__(self, "cls", cls)
 
     def __str__(self):
-        cls = ",".join(map(str, self.cls))
+        cls = ",".join(map(_text, self.cls))
         return f"({self.kind} {self.space} ({cls}) l={self.pairs})"
 
 
@@ -151,18 +153,16 @@ def gw_of(space: str, cls: tuple) -> int:
     return combine.gw_threefold(FAMILIES[space], cls)
 
 
-def _w_l0_surface(key: InvariantKey, total: int) -> int:
+def _w_l0_surface(key: InvariantKey, total: int, zero: Optional[InvariantKey] = None) -> int:
     """Totally real count on a standard toric surface, via floor diagrams,
     of a class with nonzero complex count ``total``.  A class with a
     degenerate polygon is a rigid smooth curve through no points: it
-    counts +1.  A quadric-side class is counted on ``_lowest_rectangle``.
-
-    ``Store._compute`` first sends a qx1/qx2 class with a cut of 1 to its
-    ``_cut_zero`` class: it serves that class's stored value, whatever its
-    origin (fixture, CSV ingest, cache file or count), else counts on the
-    lower of the two classes' ``_lowest_rectangle``, the cut-0 one on a
-    tie.  Only the key asked for is stored.
-    """
+    counts +1.  A quadric-side class (d; a1, a2, a3), in plane coordinates,
+    is counted on its orbit's lowest rectangle (``lattice.cremona``): one
+    with both sides positive has d - max(a1, a2) floors, so the mate
+    (d; a2, a3, a1) is lower exactly when max(a1, a2) < a3 < d.  Else it is
+    counted on its own polygon or, if given, on the cheaper one of ``zero``,
+    its ``_cut_zero`` class, which has no lower mate: its c = d - a3 is larger."""
     try:
         pc = floor.polygon_of(key.space, key.cls)
     except DomainError:  # no Newton polygon: a blown-up plane
@@ -171,33 +171,21 @@ def _w_l0_surface(key: InvariantKey, total: int) -> int:
         if total == 1 and constraint_count(SURFACES[key.space], key.cls) == 0:
             return 1
         raise
-    return floor.fd_count_real_l0(_lowest_rectangle(pc))
-
-
-def _lowest_rectangle(pc: floor.PolygonClass) -> floor.PolygonClass:
-    """The polygon with the fewest floors in the orbit of ``pc``, ``pc`` on
-    a tie.  A quadric-side class (a, b; alpha, beta), in qx2 coordinates,
-    has the rectangles (a, b; alpha, beta), (c, a; a - beta, a - alpha) and
-    (c, b; b - beta, b - alpha), c = a + b - alpha - beta: one orbit of the
-    point permutations and the Cremona map of the thrice-blown plane, real
-    deformation equivalences that keep W (Itenberg-Kharlamov-Shustin 2013).
-    A rectangle with both sides positive has as many floors as its short
-    side, so a mate is lower exactly when 0 < c < ``pc.height``.  The class
-    is then counted on (c, a; ...), whose cuts always fit, else on its own.
-    """
-    if pc.surface_id != "p2":
-        a, b, alpha, beta = quadric_coords(SURFACES[pc.surface_id], pc.class_vec)
-        c = a + b - alpha - beta
-        if 0 < c < pc.height:
-            return floor.polygon_of("qx2", (c, a, a - beta, a - alpha))
-    return pc
+    if key.space != "p2":
+        d, a1, a2, a3 = quadric_to_plane(quadric_coords(SURFACES[key.space], key.cls))
+        if max(a1, a2) < a3 < d:
+            pc = floor.polygon_of("qx2", plane_to_quadric((d, a2, a3, a1)))
+        elif zero is not None:
+            pc = floor.polygon_of(zero.space, zero.cls)
+    return floor.fd_count_real_l0(pc)
 
 
 def _cut_zero(key: InvariantKey) -> Optional[InvariantKey]:
     """A qx1/qx2 key whose rectangle has a cut of 1, with each such cut made
     0; else None.  A cut of 1 is a real blown-up point taken as a point
     constraint: W(X~, D - E, l) = W(X, D, l) (Itenberg-Kharlamov-Shustin
-    2013)."""
+    2013).  ``Store._compute`` serves a stored cut-0 value, of any origin,
+    and stores only the key asked for."""
     if key.space not in ("qx1", "qx2"):
         return None
     a, b, *cuts = key.cls
@@ -265,7 +253,8 @@ class Store:
                 except (ValueError, IndexError) as exc:
                     raise CacheError(f"{path}:{lineno}: bad row {raw!r}: {exc}") from None
                 if not self.insert(key, value, persist=False):
-                    raise CacheError(f"{path}:{lineno}: {key} is {self._data[key]}, not {value}")
+                    raise CacheError(f"{path}:{lineno}: {key} is {_text(self._data[key])}, "
+                                     f"not {_text(value)}")
 
     def _load_bundled_fixtures(self):
         data_dir = os.path.join(os.path.dirname(__file__), "data")
@@ -324,14 +313,8 @@ class Store:
         if key.pairs:
             raise DataUnavailableError([key])
         zero = _cut_zero(key)
-        if zero is None:
-            return _w_l0_surface(key, total)
-        # the cut-0 key is read, never stored (see _w_l0_surface)
-        known = self._data.get(zero)
-        if known is not None:
-            return known
-        own, cut0 = (_lowest_rectangle(floor.polygon_of(k.space, k.cls)) for k in (key, zero))
-        return floor.fd_count_real_l0(cut0 if cut0.height <= own.height else own)
+        known = None if zero is None else self._data.get(zero)
+        return _w_l0_surface(key, total, zero) if known is None else known
 
     # -- ingestion --------------------------------------------------------------
 
@@ -437,7 +420,7 @@ def served_w(store: Store, key: InvariantKey, total: int) -> int:
 def _short(number) -> str:
     """A number as a rejection prints it: past 60 digits, its sign, first
     three digits and digit count."""
-    text = str(number)
+    text = _text(number)
     n = len(text.lstrip("-"))
     return text if n <= 60 else f"{text[:len(text) - n + 3]}…({n} digits)"
 

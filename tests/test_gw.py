@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from golden import TABLE2
 from oracles import gw_blowup_oracle, gw_p2
-from pezzo.errors import DomainError
+from pezzo.errors import DegeneratePolygonError, DomainError
+from pezzo.floor import fd_count_real_l0, polygon_of
 from pezzo.gw import gw_blowup_p2, gw_surface
-from pezzo.lattice import SURFACES, monodromy
+from pezzo.lattice import SURFACES, cremona, monodromy, plane_to_quadric, quadric_to_plane
 
 # first plane counts, regenerated by the recursion in test_plane_recursion
 PLANE_COUNTS = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
@@ -150,6 +151,39 @@ def test_blowup_cremona_and_permutation_property(cls, perm):
     if image[0] <= 14:
         assert gw_blowup_oracle(*image) == want
     assert gw_blowup_p2(d, *m) == want
+
+
+@st.composite
+def _plane_classes(draw):
+    # a class of degree <= 12, or the plane image of a qx2 class with entries
+    # 0..5, whose orbit then holds at least one rectangle with a polygon
+    if draw(st.booleans()):
+        d, m = draw(_blowup_classes())
+        return (d, *m)
+    return quadric_to_plane(tuple(draw(st.integers(0, 5)) for _ in range(4)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_plane_classes())
+def test_orbit_keeps_gw_and_real_floor_counts(cls):
+    # the 12 images under the point permutations and the Cremona map: equal
+    # GW against the oracle, which has no Cremona reduction (up to degree 12,
+    # as in test_blowup_cremona_and_permutation_property), and equal real
+    # floor counts on the orbit's rectangles with a polygon and entries <= 5
+    images = {(e, *perm) for e, *m in (cls, cremona(cls)) for perm in itertools.permutations(m)}
+    want = gw_blowup_oracle(*cls)
+    real = set()
+    for image in images:
+        if image[0] <= 12:
+            assert gw_blowup_oracle(*image) == want, image
+        assert gw_blowup_p2(*image) == want, image
+        rectangle = plane_to_quadric(image)
+        if max(rectangle) <= 5:
+            try:
+                real.add(fd_count_real_l0(polygon_of("qx2", rectangle)))
+            except DegeneratePolygonError:
+                continue
+    assert len(real) <= 1, (cls, real)
 
 
 def test_gw_surface_table_values():

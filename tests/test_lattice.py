@@ -21,10 +21,12 @@ from pezzo.lattice import (
     QX2,
     ThreefoldFamily,
     constraint_count,
+    cremona,
     fiber,
     genus,
     monodromy,
     pair,
+    plane_to_quadric,
     push_forward,
     quadric_to_plane,
     singular_fiber_count,
@@ -236,6 +238,35 @@ def test_quadric_to_plane_injective_on_sample():
                     image = quadric_to_plane((a, b, al, be))
                     assert image not in seen
                     seen[image] = (a, b, al, be)
+
+
+def test_plane_to_quadric_inverts_quadric_to_plane():
+    # both ways on a box, and the three rectangles of an orbit are the images
+    # of the three choices of the last point
+    box = list(itertools.product(range(-2, 9), repeat=4))
+    for d in box:
+        assert plane_to_quadric(quadric_to_plane(d)) == d
+        assert quadric_to_plane(plane_to_quadric(d)) == d
+        a, b, alpha, beta = d
+        c = a + b - alpha - beta
+        e, a1, a2, a3 = quadric_to_plane(d)
+        assert plane_to_quadric((e, a2, a3, a1)) == (c, a, a - beta, a - alpha)
+        assert plane_to_quadric((e, a1, a3, a2)) == (c, b, b - beta, b - alpha)
+        assert plane_to_quadric((e, a2, a1, a3)) == (b, a, alpha, beta)
+    assert len(box) == 14641
+
+
+def test_cremona_is_the_qx2_monodromy():
+    # through the change of basis, the cut swap (a, b; alpha, beta) ->
+    # (a, b; beta, alpha) is the quadratic Cremona map, an involution
+    checked = 0
+    for d in itertools.product(range(-2, 9), repeat=4):
+        plane = quadric_to_plane(d)
+        assert quadric_to_plane(monodromy(QX2, d)) == cremona(plane), d
+        assert cremona(cremona(plane)) == plane
+        checked += 1
+    assert checked == 14641
+    assert cremona((5, 3, 2, 1)) == (4, 2, 1, 0)
 
 
 def test_singular_fiber_count():

@@ -21,7 +21,10 @@ from pezzo.errors import (
     DomainError,
 )
 from pezzo.gw import gw_surface
-from pezzo.lattice import FAMILIES, SURFACES, constraint_count, genus, monodromy
+from pezzo.lattice import (
+    FAMILIES, SURFACES, constraint_count, genus, monodromy, plane_to_quadric, quadric_coords,
+    quadric_to_plane,
+)
 from pezzo.store import InvariantKey, Store, _w_l0_surface, gw_of, space_rank
 from pezzo.tables import gw_deg6_table
 
@@ -507,10 +510,13 @@ def _outcome(thunk):
 def test_real_point_cut_sweep(monkeypatch):
     # a cut of 1 is a real blown-up point: on every canonical class that
     # _quadric_keys yields, _compute returns what the class's own rule gives,
-    # count or error, though it counts a cut-1 class on a cut-0 rectangle
-    count, memo = floor.fd_count_real_l0, {}
+    # count or error, though it counts a cut-1 class on a cut-0 rectangle:
+    # the cut-0 class's own polygon, unless the class has a strictly lower
+    # orbit mate (d; a2, a3, a1), max(a1, a2) < a3 < d in plane coordinates
+    count, memo, counted = floor.fd_count_real_l0, {}, []
 
     def shared(pc):  # one count per polygon shape, on both sides
+        counted.append(pc)
         shape = (pc.slabs, pc.d_b, pc.d_t)
         if shape not in memo:
             memo[shape] = count(pc)
@@ -519,13 +525,26 @@ def test_real_point_cut_sweep(monkeypatch):
     monkeypatch.setattr(floor, "fd_count_real_l0", shared)
     store = Store(load_fixtures=False)
     keys = sorted(set(_quadric_keys(5)), key=str)
-    traded = 0
+    traded = mates = 0
     for key in keys:
         total = gw_of(key.space, key.cls)
         own = _outcome(lambda: 0 if total == 0 else _w_l0_surface(key, total))
+        counted.clear()
         assert _outcome(lambda: store._compute(key)) == own, key
-        traded += total != 0 and store_mod._cut_zero(key) is not None
-    assert len(keys) == 1176 and traded == 95
+        zero = store_mod._cut_zero(key)
+        if total == 0 or zero is None:
+            continue
+        traded += 1
+        (pc,) = counted
+        cut0 = floor.polygon_of(zero.space, zero.cls)
+        d, a1, a2, a3 = quadric_to_plane(quadric_coords(SURFACES[key.space], key.cls))
+        if max(a1, a2) < a3 < d:
+            mate = floor.polygon_of("qx2", plane_to_quadric((d, a2, a3, a1)))
+            assert pc == mate and mate.height < cut0.height, key
+            mates += 1
+        else:
+            assert pc == cut0, key
+    assert len(keys) == 1176 and traded == 95 and mates == 4
     assert not store._data
 
 
@@ -587,3 +606,34 @@ def test_cache_rows_pass_the_digit_limit(tmp_path, monkeypatch):
         assert store.lookup(key) is None and os.listdir(c3) == []
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_messages_pass_the_digit_limit(tmp_path):
+    # under a 640-digit int/str limit, conflicting cache rows with a
+    # 1001-digit value or class entry are a CacheError naming file and line,
+    # and an ingest row that breaks the parity of the 1227-digit GW(p2; 200)
+    # is rejected, not a ValueError
+    big, total = 10 ** 1000, gw_of("p2", (200,))
+    value, entry = tmp_path / "value", tmp_path / "entry"
+    csv = _write(tmp_path / "w.csv", "space,c1,l,value\np2,200,0,1\n")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for cache, rows in ((value, f"GW,200,0,{big + 1}\nGW,200,0,{big + 3}\n"),
+                            (entry, f"GW,{big},0,1\nGW,{big},0,3\n")):
+            cache.mkdir()
+            _write(cache / "p2.store", rows)
+        want = [f"{value / 'p2.store'}:2: (GW p2 (200) l=0) is {big + 1}, not {big + 3}",
+                f"{entry / 'p2.store'}:2: (GW p2 ({big}) l=0) is 1, not 3"]
+        parity = f"parity of 1 conflicts with complex count {str(total)[:3]}…(1227 digits)"
+        sys.set_int_max_str_digits(640)
+        errors = []
+        for cache in (value, entry):
+            with pytest.raises(CacheError) as err:
+                Store(cache_dir=str(cache), load_fixtures=False)
+            errors.append(str(err.value))
+        report = Store(load_fixtures=False).ingest_csv(csv, "p2")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert errors == want
+    assert report.inserted == 0 and report.rejected == [(2, parity)]
