@@ -162,8 +162,8 @@ def main(argv=None, out=None) -> int:
     except (_UsageError, PezzoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MemoryError, RecursionError) as exc:
-        # a large enough class outgrows this process
+    except (MemoryError, RecursionError, OverflowError) as exc:
+        # a large enough class outgrows this process's memory, stack or index size
         exhausted = type(exc).__name__
     # printed past the except block, once the failed count's frames and the
     # memory they hold are released

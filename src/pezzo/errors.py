@@ -43,8 +43,10 @@ class DataUnavailableError(PezzoError, LookupError):
 
     def __init__(self, keys):
         self.keys = list(keys)
-        names = ", ".join(str(k) for k in self.keys)
-        super().__init__(f"no data for key(s): {names}")
+        super().__init__(self.keys)
+
+    def __str__(self):  # built when printed, not when raised: tables and fiber sums catch most
+        return "no data for key(s): " + ", ".join(map(str, self.keys))
 
 
 class CsvParseError(PezzoError, ValueError):

@@ -146,12 +146,16 @@ def _prufer_code(edges, n) -> tuple:
 
 def _live_weightings(n, divs, d_b, d_t, step) -> list:
     """Weighted trees on the floors, with weights 1, 1 + step, ..., whose
-    t_j = dn_j - up_j fit the unbounded ends: [(edges, t)], sorted by the
-    tree's Prüfer code, then by the weights read floor by floor from the top.
+    t_j = dn_j - up_j fit the unbounded ends: [(sorted edges, t)] in the
+    order of the tree's Prüfer code, then of the weights read floor by floor
+    from the top.
 
     Built from the top floor down: floor j joins lower floors of other
     components, and a component that can no longer reach a lower floor ends
     the branch.  ``comp`` labels each floor by the lowest floor it reaches.
+    One tree's edges are decided in the same order for all its weightings,
+    each edge's weights in increasing order, so the build meets them in
+    weight order, which the stable sort by Prüfer code alone keeps.
     """
     hang = [0] * n              # weight above each floor
     edges, t, found = [], [0] * n, []
@@ -168,7 +172,7 @@ def _live_weightings(n, divs, d_b, d_t, step) -> list:
             if j:
                 join(j - 1, 0, divs[j - 1] + hang[j - 1], comp, nd, nu)
             elif d_b - nd == d_t - nu:
-                found.append((tuple(edges), tuple(t)))
+                found.append((tuple(sorted(edges)), tuple(t)))
             return
         join(j, i + 1, tj, comp, nd, nu)
         a, b = comp[i], comp[j]
@@ -183,8 +187,8 @@ def _live_weightings(n, divs, d_b, d_t, step) -> list:
             hang[i] -= w
 
     join(n - 1, 0, divs[n - 1], list(range(n)), 0, 0)
-    found.sort(key=lambda f: (_prufer_code(f[0], n), [w for _, _, w in f[0]]))
-    return [(tuple(sorted(tree)), t) for tree, t in found]
+    found.sort(key=lambda f: _prufer_code(f[0], n))
+    return found
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple]:

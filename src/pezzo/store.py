@@ -311,6 +311,7 @@ class Store:
         if total == 0:
             return 0
         if key.pairs:
+            check_pairs(key.space, key.cls, key.pairs)  # no row could fill a key past the bound
             raise DataUnavailableError([key])
         zero = _cut_zero(key)
         known = None if zero is None else self._data.get(zero)

@@ -57,36 +57,27 @@ def gw_deg6_table(max_sum: int = 12, fmt: str = "md") -> tuple:
 
 
 def _w_grid(family_id: str, columns, labels, store, fmt):
-    """Shared grid builder: columns of classes, rows of pair counts."""
-    bounds = [pair_bound(family_id, d) for d in columns]
-    max_l = max(bounds, default=-1)
-    missing = 0
+    """Shared grid builder: columns of classes, rows of pair counts.  One
+    walk, column by column with l ascending, fills ``cells``; the CSV rows
+    and the cache rows written on the way follow that order."""
     cells = {}
-    for d, bound in zip(columns, bounds):
-        for l in range(bound + 1):
+    for d in columns:
+        for l in range(pair_bound(family_id, d) + 1):
             try:
-                cells[(d, l)] = str(w_threefold(WelschingerQuery(family_id, d, l), store))
+                cells[d, l] = str(w_threefold(WelschingerQuery(family_id, d, l), store))
             except DataUnavailableError:
-                cells[(d, l)] = "?"
-                missing += 1
+                cells[d, l] = "?"
+    missing = list(cells.values()).count("?")
     if fmt == "csv":
         if not columns:
             return "\n", missing
         lines = ["space," + ",".join(f"c{i + 1}" for i in range(len(columns[0]))) + ",l,value"]
-        for d, bound in zip(columns, bounds):
-            for l in range(bound + 1):
-                val = cells[(d, l)]
-                if val != "?":
-                    lines.append(family_id + "," + ",".join(map(str, d)) + f",{l},{val}")
+        lines += [family_id + "," + ",".join(map(str, d)) + f",{l},{val}"
+                  for (d, l), val in cells.items() if val != "?"]
         return "\n".join(lines) + "\n", missing
-    rows = []
-    for l in range(max_l + 1):
-        row = [str(l)]
-        for d, bound in zip(columns, bounds):
-            row.append(cells[(d, l)] if l <= bound else "")
-        rows.append(row)
-    text = _md_table(["l"] + labels, rows)
-    return text, missing
+    rows = [[str(l)] + [cells.get((d, l), "") for d in columns]
+            for l in range(max((l for _, l in cells), default=-1) + 1)]
+    return _md_table(["l"] + labels, rows), missing
 
 
 def w_deg7_table(max_d: int = 9, fmt: str = "md", *, store: Store) -> tuple:

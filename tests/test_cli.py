@@ -203,7 +203,7 @@ def test_usage_errors():
     assert code == 1
 
 
-@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError, OverflowError])
 def test_running_out_of_resources_is_one_error_line(monkeypatch, capsys, exc):
     def exhausted(*args):
         raise exc()
@@ -211,6 +211,17 @@ def test_running_out_of_resources_is_one_error_line(monkeypatch, capsys, exc):
     monkeypatch.setattr(cli, "gw_threefold", exhausted)
     assert run(["gw3", "--family", "deg6", "--class", "3,3,3"]) == (1, "")
     assert capsys.readouterr().err == f"error: out of resources ({exc.__name__})\n"
+
+
+@pytest.mark.parametrize("family, cls", [
+    ("deg8", "99999999999999999999"),
+    ("deg7", "99999999999999999999,0"),
+    ("deg6", "99999999999999999999,1,1"),
+])
+def test_class_past_the_index_size_is_one_error_line(capsys, family, cls):
+    # the fiber of such a class has more members than a sequence can index
+    assert run(["gw3", "--family", family, "--class", cls]) == (1, "")
+    assert capsys.readouterr().err == "error: out of resources (OverflowError)\n"
 
 
 def test_capped_child_runs_out_of_memory_with_one_error_line():

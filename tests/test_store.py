@@ -12,20 +12,21 @@ from hypothesis import strategies as st
 
 import pezzo
 from pezzo import cli, floor, store as store_mod
-from pezzo.combine import WelschingerQuery, w_threefold
+from pezzo.combine import WelschingerQuery, w_threefold, w_vanishes_a_priori
 from pezzo.errors import (
     CacheError,
     CsvParseError,
     DataUnavailableError,
     DegeneratePolygonError,
     DomainError,
+    WQueryError,
 )
 from pezzo.gw import gw_surface
 from pezzo.lattice import (
-    FAMILIES, SURFACES, constraint_count, genus, monodromy, plane_to_quadric, quadric_coords,
-    quadric_to_plane,
+    FAMILIES, SURFACES, constraint_count, fiber, genus, monodromy, plane_to_quadric,
+    quadric_coords, quadric_to_plane,
 )
-from pezzo.store import InvariantKey, Store, _w_l0_surface, gw_of, space_rank
+from pezzo.store import InvariantKey, Store, _w_l0_surface, gw_of, pair_bound, space_rank, w_conflict
 from pezzo.tables import gw_deg6_table
 
 
@@ -85,12 +86,22 @@ def test_missing_twisted_data(bare_store):
     with pytest.raises(DataUnavailableError) as err:
         bare_store.get_or_compute(InvariantKey("W", "qx2t", (1, 0, 1), 1))
     assert err.value.keys == [InvariantKey("W", "qx2t", (1, 0, 1), 1)]
+    assert str(err.value) == "no data for key(s): (W qx2t (1,0,1) l=1)"
 
 
 def test_zero_complex_count_forces_zero(bare_store):
     # no data needed when the complex count already vanishes
     assert bare_store.get_or_compute(InvariantKey("W", "qx2t", (1, 0, 3), 4)) == 0
     assert bare_store.get_or_compute(InvariantKey("W", "qx1", (1, 6, 2), 3)) == 0
+
+
+def test_impossible_pair_count_is_a_query_error(bare_store):
+    # no row could fill a key past its pair bound, so none is asked for
+    for key in (InvariantKey("W", "qx2", (5, 5, 2, 3), 99), InvariantKey("W", "p2", (3,), 5)):
+        with pytest.raises(WQueryError):
+            bare_store.get_or_compute(key)
+    with pytest.raises(DataUnavailableError):
+        bare_store.get_or_compute(InvariantKey("W", "qx2", (5, 5, 2, 3), 2))
 
 
 def test_rigid_classes_count_one(bare_store):
@@ -579,6 +590,83 @@ def test_computed_real_counts_respect_the_complex_count(case):
     for k in ([zero] if zero else []) + [key]:
         w, total = store.get_or_compute(k), gw_of(k.space, k.cls)
         assert (w - total) % 2 == 0 and abs(w) <= total, k
+
+
+def _run_on_tampered_cache(space, cls, value, argv):
+    """``cli.main(argv)`` on a fresh cache holding the one row ``W,<cls>,0,<value>``
+    in ``<space>.store``: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as cache:
+        with open(os.path.join(cache, f"{space}.store"), "w", encoding="utf-8") as fh:
+            fh.write(f"W,{','.join(map(str, cls))},0,{value}\n")
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["--cache-dir", cache] + argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_tampered_run(run, key, value, total, fixtures):
+    # the run serves a value, or names the key in one error line: exactly when
+    # the row breaks W = GW mod 2 or |W| <= GW, or contradicts a bundled fixture
+    code, out, err = run
+    bad = w_conflict(value, total) or fixtures.lookup(key) not in (None, value)
+    if bad:
+        assert (code, out) == (1, ""), (key, value, run)
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(key) in err, err
+    else:
+        assert (code, err) == (0, ""), (key, value, run)
+    return bad
+
+
+def _w_values(total):
+    # half of them obey the rules against the complex count ``total``
+    return st.one_of(st.integers(0, total).map(lambda j: total - 2 * j),
+                     st.integers(-total - 3, total + 3))
+
+
+@st.composite
+def _tampered_surface_rows(draw):
+    space = draw(st.sampled_from(["p2", "q", "qx1", "qx2"]))
+    if space == "p2":
+        cls = (draw(st.integers(1, 5)),)
+    else:
+        a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        cls = (a, b, *(draw(st.integers(-1, 3)) for _ in range(SURFACES[space].rank - 2)))
+    total = gw_of(space, cls)
+    return space, cls, total, draw(_w_values(total))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_tampered_surface_rows())
+def test_w2_serves_a_tampered_row_only_within_the_rules(case):
+    space, cls, total, value = case
+    assume(pair_bound(space, cls) >= 0)
+    key = InvariantKey("W", space, cls)
+    run = _run_on_tampered_cache(space, cls, value, ["w2", "--surface", space,
+                                                     "--class", ",".join(map(str, cls))])
+    if not _check_tampered_run(run, key, value, total, Store()):
+        assert run[1] == f"{value}\n"
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.integers(0, 2).flatmap(lambda h: st.tuples(
+    st.just(2 * h + 1), st.integers(0, 2 * h + 1), st.data())))
+def test_w3_serves_a_tampered_member_only_within_the_rules(case):
+    # one qx1 member row of a deg7 class is tampered with; a served fiber sum
+    # of members that obey the rules obeys them against the threefold count
+    d, k, data = case
+    assume(not w_vanishes_a_priori("deg7", (d, k)))  # else no member is read
+    members = fiber(FAMILIES["deg7"], (d, k))
+    members = [m for m in members[:len(members) // 2] if gw_of("qx1", m)]  # the ones read
+    assume(members)
+    member = data.draw(st.sampled_from(members))
+    total = gw_of("qx1", member)
+    value = data.draw(_w_values(total))
+    run = _run_on_tampered_cache("qx1", member, value,
+                                 ["w3", "--family", "deg7", "--class", f"{d},{k}"])
+    key = InvariantKey("W", "qx1", member)
+    if not _check_tampered_run(run, key, value, total, Store()):
+        w3 = int(run[1])
+        assert w_conflict(w3, gw_of("deg7", (d, k))) is None, (d, k, member, value, w3)
 
 
 def test_cache_rows_pass_the_digit_limit(tmp_path, monkeypatch):
