@@ -26,19 +26,18 @@ bottom divides by M_h + h + 1 at floor h, M_h = m_0 + ... + m_h.  These
 divisors grow strictly and the last is at most N, so they are distinct
 integers <= N and N! over their product is an integer: every moment
 N! * integral of prod_h t_h^(e_h) (1 - t_h)^(u_h) is an integer, and so is
-each partial sum of the floor-by-floor evaluation, which therefore divides
-exactly at each floor.  A tree is evaluated by its edge monomials, against
-one table of moments for the polygon, or floor by floor, whichever has fewer
-terms, counted before either is built.  For totally real configurations the
-multiplicity is 0 on any even weight and +1 otherwise (the two endpoint signs
-of a bounded elevator cancel); this convention is pinned by the plane values
-8, 240, 18264 in the tests.  So the real count enumerates odd elevator weights
-only and never builds a diagram with an even weight.  Trees are built floor by
-floor from the top, so one that admits no weighting is never visited; both
-counts and ``--dump-diagrams`` get the diagrams ordered by the tree's Prüfer
-code, then by the weights.  Neither count is cached here: the store keeps each
-value it computes, and counts a real quadric-side class on the lowest
-rectangle of its orbit.
+each partial sum of its evaluation from the bottom, which therefore divides
+exactly at each floor.  A tree is evaluated by its 2^edges edge monomials,
+each a moment read from one table for the polygon.  For totally real
+configurations the multiplicity is 0 on any even weight and +1 otherwise (the
+two endpoint signs of a bounded elevator cancel); this convention is pinned
+by the plane values 8, 240, 18264 in the tests.  So the real count enumerates
+odd elevator weights only and never builds a diagram with an even weight.
+Trees are built floor by floor from the top, so one that admits no weighting
+is never visited; both counts and ``--dump-diagrams`` get the diagrams
+ordered by the tree's Prüfer code, then by the weights.  Neither count is
+cached here: the store keeps each value it computes, and counts a real
+quadric-side class on the lowest rectangle of its orbit.
 """
 
 from __future__ import annotations
@@ -200,24 +199,19 @@ def _compositions(total: int, parts: int) -> Iterator[tuple]:
 class _Markings:
     """Marking numbers of one polygon's diagrams, by the integral of the
     module docstring.  ``count`` takes a tree's diagrams one after another
-    and evaluates each tree in the order with fewer terms per diagram: by
-    its 2^edges signed monomials, each a moment kept in ``moments`` for the
-    whole polygon, or floor by floor, one term per pair of a state entering
-    a floor and a choice for that floor's edges.  ``_terms`` counts the
-    latter in closed form, so only the chosen plan is built.  A vector
-    indexed by floor is packed into an int, ``width`` bits per floor.
+    and evaluates each by the tree's 2^edges signed monomials, each a moment
+    kept in ``moments`` for the whole polygon.  A vector indexed by floor is
+    packed into an int, ``width`` bits per floor.
     """
 
-    def __init__(self, n: int, top: int):
+    def __init__(self, top: int):
         self.width = w = (top + 1).bit_length()
         self.low = (1 << w) - 1
         self.top = factorial(top)
         self.fact = [factorial(k) for k in range(top + 1)]
         self.expand = [tuple((k, (-1) ** k * comb(u, k)) for k in range(u + 1))
                        for u in range(top + 1)]
-        self.n = n
-        self.bare = self._floor_steps(())
-        self.tree = self.plan = None
+        self.tree = self.monomials = None
         self.moments = {}           # up -> packed exponents -> moment
 
     def _monomials(self, tree) -> tuple:
@@ -232,84 +226,40 @@ class _Markings:
             coefs += [-c for c in coefs]
         return tuple(zip(keys, coefs))
 
-    def _terms(self, tree) -> int:
-        """Terms per diagram of the floor-by-floor plan: over floors h, the
-        states entering h, prod over j >= h of 1 + the edges opened into j
-        below h, times the 2^(edges from h upward) choices."""
-        opened, terms = [1] * self.n, 0
-        for h in range(self.n):
-            tops = [j for i, j in tree if i == h]
-            terms += prod(opened[h:]) << len(tops)
-            for j in tops:
-                opened[j] += 1
-        return terms
-
-    def _floor_steps(self, tree) -> list:
-        """Per floor h, its state field and its choices.  A state packs the
-        exponent so far (field 0) with the edges still open to each floor j
-        (field j + 1).  A choice takes t_h from an edge (h, j), with
-        coefficient -1, or leaves it open until floor j."""
-        w, steps = self.width, []
-        for h in range(self.n):
-            choices = [(1, 0)]
-            for j in sorted(j for i, j in tree if i == h):
-                choices = [(coef * sign, add + step) for coef, add in choices
-                           for sign, step in ((1, 1 << w * (j + 1)), (-1, 1))]
-            steps.append((w * (h + 1), [(coef, add, add & self.low) for coef, add in choices]))
-        return steps
-
-    def _integral(self, steps, e, u) -> int:
-        """N! times the integral of prod_h t_h^(e_h) (1 - t_h)^(u_h) and the
-        edge factors of ``steps``, floor by floor from the bottom, each
-        (1 - t_h)^(u_h) expanded term by term.  Every division is exact."""
+    def _moment(self, e, u) -> int:
+        """N! times the integral of prod_h t_h^(e_h) (1 - t_h)^(u_h), floor by
+        floor from the bottom: the state is the exponent sum M so far, and
+        floor h, its (1 - t_h)^(u_h) expanded, divides by M + h + 1.  Every
+        division is exact."""
         low, w = self.low, self.width
         states = {0: self.top}
-        for h, (shift, choices) in enumerate(steps):
-            uh = u[h]
+        for h, uh in enumerate(u):
             eh = e >> w * h & low
             nxt = {}
-            for key, v in states.items():
-                p = key >> shift & low
-                key += eh + p - (p << shift)
-                div = (key & low) + h + 1
-                if not uh:          # all of p2: skip the (1 - t)^0 loop
-                    for coef, add, dc in choices:
-                        nk = key + add
-                        nxt[nk] = nxt.get(nk, 0) + coef * (v // (div + dc))
-                    continue
-                for coef, add, dc in choices:
-                    for k, ck in self.expand[uh]:
-                        nk = key + add + k
-                        nxt[nk] = nxt.get(nk, 0) + coef * ck * (v // (div + dc + k))
+            for m, v in states.items():
+                m += eh
+                for k, ck in self.expand[uh]:
+                    nxt[m + k] = nxt.get(m + k, 0) + ck * (v // (m + k + h + 1))
             states = nxt
         return sum(states.values())
 
-    def _evaluate(self, monomials, steps, down, up) -> int:
-        """The marking number, by the monomials if given, else by the steps."""
+    def count(self, tree, down, up) -> int:
+        if tree != self.tree:
+            self.tree, self.monomials = tree, self._monomials(tree)
         w = self.width
         e = 0
         for h, d in enumerate(down):
             e += d << w * h
-        if monomials:
-            table = self.moments.setdefault(up, {})
-            total = 0
-            for a, c in monomials:
-                moment = table.get(a + e)
-                if moment is None:
-                    moment = table[a + e] = self._integral(self.bare, a + e, up)
-                total += c * moment
-        else:
-            total = self._integral(steps, e, up)
+        table = self.moments.setdefault(up, {})
+        total = 0
+        for a, c in self.monomials:
+            moment = table.get(a + e)
+            if moment is None:
+                moment = table[a + e] = self._moment(a + e, up)
+            total += c * moment
         for k in down + up:
             total //= self.fact[k]
         return total
-
-    def count(self, tree, down, up) -> int:
-        if tree != self.tree:
-            self.tree = tree
-            self.plan = ((None, self._floor_steps(tree)) if self._terms(tree) < 1 << len(tree)
-                         else (self._monomials(tree), None))
-        return self._evaluate(*self.plan, down, up)
 
 
 def _divergence_patterns(pc: PolygonClass):
@@ -336,7 +286,7 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
     n = pc.height
     if n == 0:
         raise DegeneratePolygonError(f"{pc.surface_id}{pc.class_vec}: zero height")
-    markings = _Markings(n, 2 * n - 1 + pc.d_b + pc.d_t)
+    markings = _Markings(2 * n - 1 + pc.d_b + pc.d_t)
     for divs, deco in _divergence_patterns(pc):
         for edges, t in _live_weightings(n, divs, pc.d_b, pc.d_t, 2 if real else 1):
             tree = tuple((i, j) for i, j, _ in edges)

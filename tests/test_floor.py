@@ -250,8 +250,7 @@ def _marking_items(n, edges, down, up):
 
 
 def test_marking_count_against_brute_force():
-    # every diagram of a few small polygons, checked object by object; p2
-    # (6,) evaluates some trees by moments and some floor by floor.
+    # every diagram of a few small polygons, checked object by object.
     # Diagrams that differ only in their weights share one oracle call.
     checked = 0
     for surface, cls in (("p2", (3,)), ("p2", (5,)), ("p2", (6,)), ("q", (2, 2)),
@@ -282,47 +281,27 @@ def _diagram_shapes(draw):
 @given(_diagram_shapes())
 def test_marking_count_equals_dp_oracle(case):
     n, tree, down, up = case
-    markings = _Markings(n, 2 * n - 1 + sum(down) + sum(up))
-    by_moments = markings._evaluate(markings._monomials(tree), None, down, up)
-    by_floors = markings._evaluate(None, markings._floor_steps(tree), down, up)
+    markings = _Markings(2 * n - 1 + sum(down) + sum(up))
     items = _marking_items(n, tree, down, up)
-    assert by_moments == by_floors == marking_count_dp(n, items) == _brute_markings(n, items)
-    assert markings.count(tree, down, up) == by_moments
+    assert markings.count(tree, down, up) == marking_count_dp(n, items) == _brute_markings(n, items)
 
 
-def _floor_plan_terms(markings, tree) -> int:
-    """Terms per diagram of the floor-by-floor plan, by running its steps on
-    the open-edge fields alone: the states entering each floor times that
-    floor's choices."""
-    low, states, terms = markings.low, {0}, 0
-    for shift, choices in markings._floor_steps(tree):
-        terms += len(states) * len(choices)
-        states = {key - ((key >> shift & low) << shift) + (add & ~low)
-                  for key in states for _, add, _ in choices}
-    return terms
-
-
-def _check_plan(n, tree):
-    markings = _Markings(n, 2 * n - 1)
-    terms = _floor_plan_terms(markings, tree)
-    assert markings._terms(tree) == terms, tree
-    # the monomial plan: 2^edges distinct monomials, coefficients +-1
+def _check_monomials(n, tree):
+    markings = _Markings(2 * n - 1)
+    # 2^edges distinct monomials, coefficients +-1
     monomials = markings._monomials(tree)
     assert len({a for a, _ in monomials}) == len(monomials) == 1 << len(tree)
     assert {c for _, c in monomials} <= {1, -1}
-    # floor by floor exactly when it has fewer terms than the monomials
-    markings.count(tree, (0,) * n, (0,) * n)
-    by_floors = terms < 1 << len(tree)
-    assert markings.plan == ((None, markings._floor_steps(tree)) if by_floors
-                             else (monomials, None)), tree
+    zero = (0,) * n
+    assert markings.count(tree, zero, zero) == marking_count_dp(n, _marking_items(n, tree, zero, zero)), tree
 
 
-def test_plan_terms_on_every_small_tree():
+def test_monomials_on_every_small_tree():
     # every labeled tree on 1..6 floors: n^(n-2) of each size
     checked = 0
     for n in range(1, 7):
         for code in itertools.product(range(n), repeat=max(n - 2, 0)):
-            _check_plan(n, () if n == 1 else _prufer_tree(code, n))
+            _check_monomials(n, () if n == 1 else _prufer_tree(code, n))
             checked += 1
     assert checked == 1 + 1 + 3 + 16 + 125 + 1296
 
@@ -331,9 +310,9 @@ def test_plan_terms_on_every_small_tree():
 @given(st.integers(7, 8).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2,
                                              max_size=n - 2))))
-def test_plan_terms_on_random_large_trees(case):
+def test_monomials_on_random_large_trees(case):
     n, code = case
-    _check_plan(n, _prufer_tree(code, n))
+    _check_monomials(n, _prufer_tree(code, n))
 
 
 def test_backend_equivalence_extended():

@@ -267,6 +267,52 @@ def test_ingest_non_utf8_reports_line(tmp_path, bare_store):
     assert err.value.lineno == 3 and "0xff" in str(err.value)
 
 
+with open(os.path.join(os.path.dirname(store_mod.__file__), "data", "welschinger_plane.csv"),
+          "rb") as _fh:
+    _PLANE_CSV = _fh.read()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, len(_PLANE_CSV)))
+def test_ingest_truncated_csv(cut):
+    # the bundled plane table cut at any byte: every whole data line goes in
+    # with its value, and only the torn last line may differ
+    full = _PLANE_CSV
+    *whole, torn = full[:cut].decode("ascii").split("\n")
+    torn_no = len(whole) + 1
+    header_at = full.index(b"space,")
+    header_no = full[:header_at].count(b"\n") + 1
+    store = Store(cache_dir=None, load_fixtures=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cut.csv")
+        with open(path, "wb") as fh:
+            fh.write(full[:cut])
+        try:
+            report = store.ingest_csv(path, "p2")
+        except CsvParseError as exc:
+            if cut <= header_at:
+                assert exc.lineno == 1 and "missing header line" in str(exc)
+            else:
+                assert exc.lineno == torn_no
+            report = None
+    rows = [line.split(",") for line in whole[header_no:]]
+    for _, d, l, value in rows:
+        assert store.lookup(InvariantKey("W", "p2", (int(d),), int(l))) == int(value)
+    if report is None:
+        assert len(store) == len(rows)
+        return
+    assert torn_no > header_no or torn == "space,c1,l,value"
+    assert {lineno for lineno, _ in report.rejected} <= {torn_no}
+    if report.inserted > len(rows):
+        # a torn row that parses and validates goes in as its token reads:
+        # p2,5,0,18264 cut to p2,5,0,1826 is stored as 1826
+        _, d, l, value = torn.split(",")
+        assert report.inserted == len(rows) + 1
+        assert store.lookup(InvariantKey("W", "p2", (int(d),), int(l))) == int(value)
+    else:
+        assert report.inserted == len(rows)
+
+
 def test_cache_torn_last_line_dropped(tmp_path, capsys):
     # an append cut short: the whole rows load, the torn tail leaves the file
     path = tmp_path / "p2.store"
