@@ -7,6 +7,7 @@ needs surface data that has not been ingested.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import floor
@@ -44,8 +45,10 @@ def _parse_class(text: str) -> tuple:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pezzo", description=__doc__)
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent cache directory (or PEZZO_CACHE_DIR)")
+    # the one reader of PEZZO_CACHE_DIR: every command gets the directory resolved here
+    parser.add_argument("--cache-dir", default=os.environ.get("PEZZO_CACHE_DIR") or None,
+                        help="persistent cache directory (default: PEZZO_CACHE_DIR; "
+                             "with neither, memory only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gw3 = sub.add_parser("gw3", help="complex count of a threefold class")

@@ -124,7 +124,9 @@ def _closed_form(store: Store, family: ThreefoldFamily, line: tuple, pairs: int)
     one per monodromy pair, weigh (-1)^(t + base) D_t.S, where
     D_t.S = length - 1 - 2t.  Members whose complex count vanishes are
     skipped without touching the store; each served W is checked by
-    ``served_w``."""
+    ``served_w``.  A store miss names its member's key alone, and members
+    D_t, D_u share a key only when u = length - 1 - t, the monodromy image,
+    which t, u < length // 2 rules out: each missing key is listed once."""
     member, length, base = line
     total = 0
     missing = []
@@ -138,9 +140,7 @@ def _closed_form(store: Store, family: ThreefoldFamily, line: tuple, pairs: int)
         try:
             w = served_w(store, key, gw)
         except DataUnavailableError as exc:
-            for k in exc.keys:
-                if k not in missing:
-                    missing.append(k)
+            missing += exc.keys
             continue
         # base may be negative: reduce the exponent so the power stays an int
         total += (-1) ** ((t + base) % 2) * (length - 1 - 2 * t) * w
@@ -157,17 +157,14 @@ def deg6_classes(max_sum: int) -> list:
 
 def positivity_report(max_sum: int, store: Store) -> list:
     """Nonnegativity sweep for the standard-real product family at l = 0:
-    returns the (class, 0, value) triples that come out negative, plus the
-    queries with missing data (value None).  Informational only."""
+    returns the (class, 0, value) triples that come out negative.
+    Informational only.  Every member is a qx2 class at l = 0, which has a
+    Newton polygon, so no query misses data."""
     rows = []
     for d in deg6_classes(max_sum):
         if w_vanishes_a_priori(DEG6, d):
             continue
-        try:
-            value = w_threefold(WelschingerQuery("deg6", d, 0), store)
-        except DataUnavailableError:
-            rows.append((d, 0, None))
-            continue
+        value = w_threefold(WelschingerQuery("deg6", d, 0), store)
         if value < 0:
             rows.append((d, 0, value))
     return rows

@@ -3,8 +3,8 @@
 Keys are (kind, space, class, pairs) with kind GW or W.  GW values and
 totally-real (pairs = 0) Welschinger values on the standard toric surfaces
 are computed on demand; every other Welschinger value must come from CSV
-ingestion.  Values are cached in memory and, when a cache directory is
-configured, in one append-only text file per space.
+ingestion.  Values are cached in memory and, when a store is given a cache
+directory, in one append-only text file per space there.
 
 CSV grammar: a header line ``space,c1,...,cK,l,value`` followed by data rows
 with exactly rank+3 comma-separated fields; ``#`` lines are comments; UTF-8.
@@ -33,8 +33,6 @@ from .errors import (
 )
 from .lattice import (FAMILIES, SURFACES, constraint_count, plane_to_quadric, quadric_coords,
                       quadric_to_plane)
-
-CACHE_ENV = "PEZZO_CACHE_DIR"
 
 # member spaces that are not surfaces (qx2t): the surface classes (a, a; alpha, beta)
 # fixed by the real twist, keyed (a, alpha, beta), read through the diagonal cls[:1] + cls
@@ -201,10 +199,13 @@ class IngestReport:
 
 
 class Store:
-    """Content-addressed invariant map with optional on-disk persistence."""
+    """Content-addressed invariant map.  It persists only under the
+    ``cache_dir`` it is given, and is memory-only when that is None or
+    empty: the library reads no environment variable (the CLI resolves
+    ``--cache-dir``)."""
 
     def __init__(self, cache_dir: Optional[str] = None, load_fixtures: bool = True):
-        self.cache_dir = _resolve_cache_dir(cache_dir)
+        self.cache_dir = cache_dir
         self._data: dict = {}
         self._lock = threading.RLock()
         # fixtures first: a cache row contradicting a checked fixture value is the error
@@ -426,17 +427,10 @@ def _short(number) -> str:
     return text if n <= 60 else f"{text[:len(text) - n + 3]}…({n} digits)"
 
 
-def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV) or None
-    return cache_dir
-
-
-def clear_cache(cache_dir: Optional[str] = None) -> int:
-    """Delete the persistent files of a cache directory (default: the
-    ``PEZZO_CACHE_DIR`` one) without reading them, so a damaged cache can
-    always be cleared."""
-    cache_dir = _resolve_cache_dir(cache_dir)
+def clear_cache(cache_dir: Optional[str]) -> int:
+    """Delete the ``.store`` files of ``cache_dir``, and nothing else there,
+    without reading them, so a damaged cache can always be cleared; return
+    how many went (0 when ``cache_dir`` is None or not a directory)."""
     removed = 0
     if cache_dir and os.path.isdir(cache_dir):
         for name in sorted(os.listdir(cache_dir)):

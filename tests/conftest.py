@@ -1,6 +1,12 @@
+import os
+
 import pytest
 
 from pezzo.store import Store
+
+# the CLI's --cache-dir defaults to PEZZO_CACHE_DIR: a user's setting must not
+# point the suite's commands at their cache; a test that needs it sets it
+os.environ.pop("PEZZO_CACHE_DIR", None)
 
 
 @pytest.fixture(scope="session")

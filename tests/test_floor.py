@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import _prufer_tree, enumerate_diagrams_scan, gw_p2, marking_count_dp
 from pezzo.errors import DegeneratePolygonError, DomainError
 from pezzo.floor import (
+    PolygonClass,
     _Markings,
     enumerate_diagrams,
     fd_count_complex,
@@ -46,6 +47,9 @@ def test_polygon_degenerate():
     for token in ("qx2t", "nope"):  # not a surface of the lattice
         with pytest.raises(DomainError, match=f"no Newton polygon for surface '{token}'"):
             polygon_of(token, (1, 0, 1))
+    # polygon_of raises first on such a class; a hand-built polygon meets this guard
+    with pytest.raises(DegeneratePolygonError, match="zero height"):
+        next(enumerate_diagrams(PolygonClass("p2", (0,), (), 0, 0)))
 
 
 def test_marked_points_match_constraints():

@@ -92,6 +92,18 @@ def test_blowup_recursion_stays_shallow():
     assert proc.stdout.split() == [str(gw_p2(100)), str(gw_p2(64))]
 
 
+def test_blowup_half_left_out_of_the_fill():
+    # in a fresh process, one half of a splitting of (9; 3, 3, 3) is not in
+    # the memo when _gw_blowup reaches it, so it is counted through _count
+    code = "from pezzo.gw import gw_blowup_p2\nprint(gw_blowup_p2(9, 3, 3, 3))"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{gw_blowup_oracle(9, 3, 3, 3)}\n" == "977333748480\n"
+
+
 def test_oracle_equality():
     for d in range(1, 7):
         assert gw_blowup_p2(d, 1, 1, 0) == gw_p2(d)

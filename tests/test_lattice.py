@@ -28,6 +28,7 @@ from pezzo.lattice import (
     pair,
     plane_to_quadric,
     push_forward,
+    quadric_coords,
     quadric_to_plane,
     singular_fiber_count,
 )
@@ -101,6 +102,13 @@ def test_constraint_count():
     assert constraint_count(Q, (1, 0)) == 1
     assert constraint_count(DEG6, (3, 3, 3)) == 9
     assert constraint_count(QX2, (3, 3, 1, 2)) == 8
+
+
+def test_quadric_coords_and_constraint_count_reject_other_inputs():
+    with pytest.raises(DomainError, match="p2x1 is not a quadric-side surface"):
+        quadric_coords(SURFACES["p2x1"], (3, 1))
+    with pytest.raises(DomainError, match="unsupported space 'qx2'"):
+        constraint_count("qx2", (3, 3, 1, 2))  # a token, not a lattice record
 
 
 def test_constraint_count_parity_error():

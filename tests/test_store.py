@@ -136,6 +136,33 @@ def test_cache_hits_both_monodromy_images(tmp_path):
     assert files == ["qx2.store"]
 
 
+def test_store_without_cache_dir_ignores_the_environment(tmp_path, monkeypatch):
+    # only the CLI reads PEZZO_CACHE_DIR: a store given no cache_dir neither
+    # serves a row planted under it nor writes there
+    key = InvariantKey("W", "q", (2, 3), 0)
+    value = Store(cache_dir=None, load_fixtures=False).get_or_compute(key)
+    planted = tmp_path / "env"
+    planted.mkdir()
+    row = f"W,2,3,0,{value + 2}\n"
+    (planted / "q.store").write_text(row, encoding="utf-8")
+    monkeypatch.setenv("PEZZO_CACHE_DIR", str(planted))
+    store = Store(cache_dir=None)
+    assert store.get_or_compute(key) == value
+    store.get_or_compute(InvariantKey("GW", "p2", (4,)))
+    assert os.listdir(planted) == ["q.store"]
+    assert (planted / "q.store").read_text(encoding="utf-8") == row
+
+
+def test_cache_dir_keeps_other_files(tmp_path):
+    # a file not named <space>.store is neither loaded nor cleared
+    (tmp_path / "notes.txt").write_text("not a cache row\n", encoding="utf-8")
+    (tmp_path / "p2.store").write_text("GW,3,0,12\n", encoding="utf-8")
+    assert len(Store(cache_dir=str(tmp_path), load_fixtures=False)) == 1
+    assert store_mod.clear_cache(str(tmp_path)) == 1
+    assert os.listdir(tmp_path) == ["notes.txt"]
+    assert store_mod.clear_cache(str(tmp_path / "absent")) == 0
+
+
 def test_threefold_w_key_is_the_fiber_sum(tmp_path, monkeypatch):
     # w3 calls w_threefold itself; only get_or_compute on a family key
     # reaches the store's fiber-sum branch
