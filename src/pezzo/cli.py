@@ -153,6 +153,10 @@ def main(argv=None, out=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
+    # memory held (zeroed by the allocator, so not touched) and given back
+    # when a count runs out of memory: without it, closing the count's frames
+    # can fail and the error line below is lost
+    headroom = bytes(1 << 20)
     try:
         args = parser.parse_args(argv)
         return _run(args, out)
@@ -166,6 +170,7 @@ def main(argv=None, out=None) -> int:
         return 1
     except (MemoryError, RecursionError, OverflowError) as exc:
         # a large enough class outgrows this process's memory, stack or index size
+        del headroom
         exhausted = type(exc).__name__
     # printed past the except block, once the failed count's frames and the
     # memory they hold are released

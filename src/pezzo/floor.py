@@ -46,8 +46,8 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from math import comb, factorial, prod
-from operator import sub
-from typing import Iterator, Sequence
+from operator import add, sub
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DegeneratePolygonError, DomainError
 from .lattice import SURFACES, quadric_coords
@@ -68,8 +68,7 @@ class PolygonClass:
         return len(self.slabs)
 
 
-@dataclass(frozen=True)
-class FloorDiagram:
+class FloorDiagram(NamedTuple):
     floors: int
     divergences: tuple       # required below-minus-above weight per floor
     edges: tuple             # (lower, upper, weight)
@@ -128,18 +127,23 @@ def polygon_of(lattice, d: Sequence[int]) -> PolygonClass:
 # -- diagram enumeration -------------------------------------------------------
 
 def _prufer_code(edges, n) -> tuple:
-    """Prüfer code of a tree on floors 0..n-1 (edges as (i, j, weight))."""
-    adj = [set() for _ in range(n)]
+    """Prüfer code of a tree on floors 0..n-1 (edges as (i, j, weight)):
+    ``nbr`` holds the XOR of each floor's remaining neighbours, so a leaf's
+    entry is its one neighbour."""
+    deg, nbr = [0] * n, [0] * n
     for i, j, _ in edges:
-        adj[i].add(j)
-        adj[j].add(i)
+        deg[i] += 1
+        deg[j] += 1
+        nbr[i] ^= j
+        nbr[j] ^= i
     code = []
     for _ in range(n - 2):
-        leaf = min(v for v in range(n) if len(adj[v]) == 1)
-        (v,) = adj[leaf]
+        leaf = deg.index(1)
+        v = nbr[leaf]
         code.append(v)
-        adj[v].discard(leaf)
-        adj[leaf].clear()
+        deg[leaf] = 0
+        deg[v] -= 1
+        nbr[v] ^= leaf
     return tuple(code)
 
 
@@ -190,10 +194,10 @@ def _live_weightings(n, divs, d_b, d_t, step) -> list:
     return found
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple]:
+def _compositions(total: int, parts: int) -> list:
     # gaps between sorted cut points in 0..total, in lexicographic (dump) order
-    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+    return [tuple(map(sub, cuts + (total,), (0,) + cuts))
+            for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1)]
 
 
 class _Markings:
@@ -201,7 +205,7 @@ class _Markings:
     module docstring.  ``count`` takes a tree's diagrams one after another
     and evaluates each by the tree's 2^edges signed monomials, each a moment
     kept in ``moments`` for the whole polygon.  A vector indexed by floor is
-    packed into an int, ``width`` bits per floor.
+    packed into an int, ``width`` bits per floor, by ``pack``.
     """
 
     def __init__(self, top: int):
@@ -213,6 +217,9 @@ class _Markings:
                        for u in range(top + 1)]
         self.tree = self.monomials = None
         self.moments = {}           # up -> packed exponents -> moment
+
+    def pack(self, v) -> int:
+        return sum([x << self.width * h for h, x in enumerate(v)])
 
     def _monomials(self, tree) -> tuple:
         """The product of (t_j - t_i) over the edges as ((packed exponents,
@@ -243,13 +250,11 @@ class _Markings:
             states = nxt
         return sum(states.values())
 
-    def count(self, tree, down, up) -> int:
+    def count(self, tree, e, down, up) -> int:
+        """Marking number of the diagram with these ends; ``e`` is ``down``
+        packed."""
         if tree != self.tree:
             self.tree, self.monomials = tree, self._monomials(tree)
-        w = self.width
-        e = 0
-        for h, d in enumerate(down):
-            e += d << w * h
         table = self.moments.setdefault(up, {})
         total = 0
         for a, c in self.monomials:
@@ -287,14 +292,20 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
     if n == 0:
         raise DegeneratePolygonError(f"{pc.surface_id}{pc.class_vec}: zero height")
     markings = _Markings(2 * n - 1 + pc.d_b + pc.d_t)
+    spreads = {}                # slack -> [(extra ends per floor, packed)]
     for divs, deco in _divergence_patterns(pc):
         for edges, t in _live_weightings(n, divs, pc.d_b, pc.d_t, 2 if real else 1):
-            tree = tuple((i, j) for i, j, _ in edges)
-            slack = pc.d_b - sum(max(v, 0) for v in t)
-            for extra in _compositions(slack, n):
-                down = tuple(max(v, 0) + x for v, x in zip(t, extra))
-                up = tuple(max(-v, 0) + x for v, x in zip(t, extra))
-                yield FloorDiagram(n, divs, edges, down, up, markings.count(tree, down, up), deco)
+            tree = tuple([(i, j) for i, j, _ in edges])
+            dn = [max(v, 0) for v in t]
+            un = [max(-v, 0) for v in t]
+            base = markings.pack(dn)
+            slack = pc.d_b - sum(dn)
+            if slack not in spreads:
+                spreads[slack] = [(x, markings.pack(x)) for x in _compositions(slack, n)]
+            for extra, e in spreads[slack]:
+                down, up = tuple(map(add, dn, extra)), tuple(map(add, un, extra))
+                yield FloorDiagram(n, divs, edges, down, up,
+                                   markings.count(tree, base + e, down, up), deco)
 
 
 def fd_count_complex(pc: PolygonClass) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 from math import factorial, prod
 
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from oracles import _prufer_tree, enumerate_diagrams_scan, gw_p2, marking_count_dp
 from pezzo.errors import DegeneratePolygonError, DomainError
 from pezzo.floor import (
+    FloorDiagram,
     PolygonClass,
     _Markings,
+    _prufer_code,
     enumerate_diagrams,
     fd_count_complex,
     fd_count_real_l0,
@@ -287,7 +290,8 @@ def test_marking_count_equals_dp_oracle(case):
     n, tree, down, up = case
     markings = _Markings(2 * n - 1 + sum(down) + sum(up))
     items = _marking_items(n, tree, down, up)
-    assert markings.count(tree, down, up) == marking_count_dp(n, items) == _brute_markings(n, items)
+    assert (markings.count(tree, markings.pack(down), down, up)
+            == marking_count_dp(n, items) == _brute_markings(n, items))
 
 
 def _check_monomials(n, tree):
@@ -297,7 +301,8 @@ def _check_monomials(n, tree):
     assert len({a for a, _ in monomials}) == len(monomials) == 1 << len(tree)
     assert {c for _, c in monomials} <= {1, -1}
     zero = (0,) * n
-    assert markings.count(tree, zero, zero) == marking_count_dp(n, _marking_items(n, tree, zero, zero)), tree
+    assert (markings.count(tree, markings.pack(zero), zero, zero)
+            == marking_count_dp(n, _marking_items(n, tree, zero, zero))), tree
 
 
 def test_monomials_on_every_small_tree():
@@ -339,3 +344,32 @@ def test_dump_line_format():
     assert lines == [
         "floors=2 div=1,1 edges=0-1:1 down=2,0 up=0,0 decorations=1 markings=1"
     ]
+
+
+def test_prufer_code_inverts_the_oracle_decoder():
+    # every labeled tree on 3..7 floors, its edges in random order with
+    # random odd weights: the code read back is the code it was decoded from
+    rng = random.Random(24)
+    checked = 0
+    for n in range(3, 8):
+        for code in itertools.product(range(n), repeat=n - 2):
+            edges = [(i, j, 2 * rng.randrange(4) + 1) for i, j in _prufer_tree(code, n)]
+            rng.shuffle(edges)
+            assert _prufer_code(edges, n) == code, (code, edges)
+            checked += 1
+    assert checked == 3 + 16 + 125 + 1296 + 16807
+
+
+def test_floor_diagram_is_an_immutable_record():
+    # built positionally, as tests/oracles.py builds it
+    diag = FloorDiagram(3, (1, 0, -1), ((0, 1, 1), (1, 2, 3)), (2, 0, 0), (0, 0, 1), 7, 2)
+    with pytest.raises(AttributeError):
+        diag.markings = 8
+    twin = FloorDiagram(3, (1, 0, -1), ((0, 1, 1), (1, 2, 3)), (2, 0, 0), (0, 0, 1), 7, 2)
+    assert twin == diag and hash(twin) == hash(diag) and len({diag, twin}) == 1
+    assert diag != FloorDiagram(3, (1, 0, -1), ((0, 1, 1), (1, 2, 3)), (2, 0, 0), (0, 0, 1), 8, 2)
+    assert FloorDiagram(2, (1, 1), ((0, 1, 1),), (2, 0), (0, 0), 1).decorations == 1
+    assert diag.dump_line() == (
+        "floors=3 div=1,0,-1 edges=0-1:1,1-2:3 down=2,0,0 up=0,0,1 decorations=2 markings=7")
+    assert FloorDiagram(1, (0,), (), (1,), (1,), 1).dump_line() == (
+        "floors=1 div=0 edges=- down=1 up=1 decorations=1 markings=1")
