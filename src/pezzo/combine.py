@@ -13,7 +13,7 @@ in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from .errors import DataUnavailableError, DomainError
@@ -22,20 +22,19 @@ from .lattice import DEG6, FAMILIES, ThreefoldFamily, fiber
 from .store import InvariantKey, Store, check_pairs, served_w, space_rank
 
 
-@dataclass(frozen=True)
-class WelschingerQuery:
+class WelschingerQuery(namedtuple("WelschingerQuery", "family_id cls pairs")):
     """A checked query: a known family, a class of its rank with even c1.d
     (kept as a tuple), and a pair count that ``check_pairs`` admits."""
 
-    family_id: str
-    cls: tuple
-    pairs: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        family = _family(self.family_id)
-        object.__setattr__(self, "family_id", family.id)
-        object.__setattr__(self, "cls", _as_tuple(family, self.cls))
-        check_pairs(family.id, self.cls, self.pairs)
+    def __new__(klass, family_id, cls, pairs: int):
+        family = _family(family_id)
+        cls = _as_tuple(family, cls)
+        check_pairs(family.id, cls, pairs)
+        return super().__new__(klass, family.id, cls, pairs)
+
+    _make = classmethod(lambda klass, fields: klass(*fields))  # so _replace checks
 
 
 def _family(family) -> ThreefoldFamily:

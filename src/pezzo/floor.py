@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import add, sub
 from typing import Iterator, NamedTuple, Sequence
@@ -53,8 +52,7 @@ from .errors import DegeneratePolygonError, DomainError
 from .lattice import SURFACES, quadric_coords
 
 
-@dataclass(frozen=True)
-class PolygonClass:
+class PolygonClass(NamedTuple):
     """Newton polygon of a surface class, with its slab data."""
 
     surface_id: str
@@ -164,32 +162,32 @@ def _live_weightings(n, divs, d_b, d_t, step) -> list:
     edges, t, found = [], [0] * n, []
 
     def join(j, i, tj, comp, nd, nu):
-        # floor j may next join floor i; nd, nu: unbounded ends used above j
+        # floor j is done, or joins one of floors j-1 down to i; nd, nu: ends used above j
         if tj < nu - d_t:
             return
-        if i == j:              # floor j is done
-            if tj > d_b - nd or (j and comp[j] == j):
-                return
+        if tj <= d_b - nd and not (j and comp[j] == j):
             t[j] = tj
-            nd, nu = nd + max(tj, 0), nu + max(-tj, 0)
+            dn, un = (tj, 0) if tj > 0 else (0, -tj)
             if j:
-                join(j - 1, 0, divs[j - 1] + hang[j - 1], comp, nd, nu)
-            elif d_b - nd == d_t - nu:
+                join(j - 1, 0, divs[j - 1] + hang[j - 1], comp, nd + dn, nu + un)
+            elif d_b - nd - dn == d_t - nu - un:
                 found.append((tuple(sorted(edges)), tuple(t)))
-            return
-        join(j, i + 1, tj, comp, nd, nu)
-        a, b = comp[i], comp[j]
-        if a == b:
-            return
-        merged = [min(a, b) if c in (a, b) else c for c in comp]
-        for w in range(1, tj + d_t - nu + 1, step):
-            hang[i] += w
-            edges.append((i, j, w))
-            join(j, i + 1, tj - w, merged, nd, nu)
-            edges.pop()
-            hang[i] -= w
+        b = comp[j]
+        for x in range(j - 1, i - 1, -1):
+            a = comp[x]
+            if a == b:
+                continue
+            lo, hi = (a, b) if a < b else (b, a)
+            merged = [lo if c == hi else c for c in comp]
+            for w in range(1, tj + d_t - nu + 1, step):
+                hang[x] += w
+                edges.append((x, j, w))
+                join(j, x + 1, tj - w, merged, nd, nu)
+                edges.pop()
+                hang[x] -= w
 
     join(n - 1, 0, divs[n - 1], list(range(n)), 0, 0)
+    del join                    # the closure refers to itself through its cell: end that cycle
     found.sort(key=lambda f: _prufer_code(f[0], n))
     return found
 
@@ -216,7 +214,7 @@ class _Markings:
         self.expand = [tuple((k, (-1) ** k * comb(u, k)) for k in range(u + 1))
                        for u in range(top + 1)]
         self.tree = self.monomials = None
-        self.moments = {}           # up -> packed exponents -> moment
+        self.moments = defaultdict(dict)  # up -> packed exponents -> moment
 
     def pack(self, v) -> int:
         return sum([x << self.width * h for h, x in enumerate(v)])
@@ -235,36 +233,37 @@ class _Markings:
 
     def _moment(self, e, u) -> int:
         """N! times the integral of prod_h t_h^(e_h) (1 - t_h)^(u_h), floor by
-        floor from the bottom: the state is the exponent sum M so far, and
-        floor h, its (1 - t_h)^(u_h) expanded, divides by M + h + 1.  Every
-        division is exact."""
-        low, w = self.low, self.width
+        floor from the bottom: floor h, its (1 - t_h)^(u_h) expanded, divides
+        by M + h + 1, M the exponent sum so far, and the state is keyed by that
+        divisor, so the next floor's is the key plus e_(h+1) + k + 1.  Every
+        division is exact.  The last floor's terms go straight into the sum."""
+        low, w, last = self.low, self.width, len(u) - 1
         states = {0: self.top}
-        for h, uh in enumerate(u):
-            eh = e >> w * h & low
+        for h in range(last):
+            eh = (e >> w * h & low) + 1
             nxt = {}
             for m, v in states.items():
                 m += eh
-                for k, ck in self.expand[uh]:
-                    nxt[m + k] = nxt.get(m + k, 0) + ck * (v // (m + k + h + 1))
+                for k, ck in self.expand[u[h]]:
+                    nxt[m + k] = nxt.get(m + k, 0) + ck * (v // (m + k))
             states = nxt
-        return sum(states.values())
+        eh = (e >> w * last & low) + 1
+        expand = self.expand[u[last]]
+        return sum([ck * (v // (m + eh + k)) for m, v in states.items() for k, ck in expand])
 
     def count(self, tree, e, down, up) -> int:
         """Marking number of the diagram with these ends; ``e`` is ``down``
         packed."""
         if tree != self.tree:
             self.tree, self.monomials = tree, self._monomials(tree)
-        table = self.moments.setdefault(up, {})
+        table = self.moments[up]
         total = 0
         for a, c in self.monomials:
             moment = table.get(a + e)
             if moment is None:
                 moment = table[a + e] = self._moment(a + e, up)
             total += c * moment
-        for k in down + up:
-            total //= self.fact[k]
-        return total
+        return total // prod(map(self.fact.__getitem__, down + up))
 
 
 def _divergence_patterns(pc: PolygonClass):
@@ -296,8 +295,8 @@ def enumerate_diagrams(pc: PolygonClass, real: bool = False) -> Iterator[FloorDi
     for divs, deco in _divergence_patterns(pc):
         for edges, t in _live_weightings(n, divs, pc.d_b, pc.d_t, 2 if real else 1):
             tree = tuple([(i, j) for i, j, _ in edges])
-            dn = [max(v, 0) for v in t]
-            un = [max(-v, 0) for v in t]
+            dn = [v if v > 0 else 0 for v in t]
+            un = [0 if v > 0 else -v for v in t]
             base = markings.pack(dn)
             slack = pc.d_b - sum(dn)
             if slack not in spreads:

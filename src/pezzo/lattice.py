@@ -16,10 +16,10 @@ signs, so ``side`` and ``rank`` fix every form of a surface lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ParityError, RankMismatchError, UnsupportedLatticeError
 
@@ -27,7 +27,9 @@ ClassVector = tuple  # tuple of ints, length = lattice rank
 
 
 class _Ranked:
-    """Both records: ``check`` makes a class a tuple of ints of their rank."""
+    """Both records' ``check``: a class as a tuple of ints of their rank."""
+
+    __slots__ = ()
 
     def check(self, d: Sequence[int]) -> ClassVector:
         d = tuple(map(int, d))
@@ -38,33 +40,33 @@ class _Ranked:
         return d
 
 
-@dataclass(frozen=True)
-class SurfaceLattice(_Ranked):
+class SurfaceLattice(namedtuple("SurfaceLattice", "id rank side vanishing_cycle canonical "
+                                                  "anticanonical blowups"), _Ranked):
     """Intersection lattice of one of the seven supported surfaces.  ``side``
     names the minimal model the basis refines, "p2" (L^2 = 1) or "q"
-    (L1.L2 = 1); the other basis vectors are exceptional (E^2 = -1)."""
+    (L1.L2 = 1); the other basis vectors are exceptional (E^2 = -1).  The
+    last three fields follow from the first four, which alone are given."""
 
-    id: str
-    rank: int
-    side: str
-    vanishing_cycle: Optional[ClassVector] = None
-    canonical: ClassVector = field(init=False)
-    anticanonical: ClassVector = field(init=False)
-    blowups: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        head = (3,) if self.side == "p2" else (2, 2)
-        object.__setattr__(self, "blowups", self.rank - len(head))
-        object.__setattr__(self, "anticanonical", head + (1,) * self.blowups)
-        object.__setattr__(self, "canonical", tuple(-x for x in self.anticanonical))
+    def __new__(klass, id: str, rank: int, side: str, vanishing_cycle=None):
+        head = (3,) if side == "p2" else (2, 2)
+        blowups = rank - len(head)
+        anticanonical = head + (1,) * blowups
+        return super().__new__(klass, id, rank, side, vanishing_cycle,
+                               tuple(-x for x in anticanonical), anticanonical, blowups)
+
+    def __getnewargs__(self):  # pickle and copy pass the given fields
+        return self[:4]
+
+    _make = classmethod(lambda klass, fields: klass(*tuple(fields)[:4]))  # so _replace recomputes
 
     @property
     def degree(self) -> int:
         return pair(self, self.canonical, self.canonical)
 
 
-@dataclass(frozen=True)
-class ThreefoldFamily(_Ranked):
+class ThreefoldFamily(NamedTuple):
     """One of the four (real) threefold settings handled by the engine.
 
     ``line(d)`` is None when the fiber over d is empty, else (D_0, length,
@@ -79,6 +81,8 @@ class ThreefoldFamily(_Ranked):
     c1_row: tuple            # pairing of c1 with a class tuple
     member_space: str
     line: Callable           # d -> None or (D_0, length, sign base)
+
+    check = _Ranked.check
 
     def constraints(self, d: ClassVector) -> int:
         """c1.d / 2 of a checked class (ParityError if c1.d is odd)."""

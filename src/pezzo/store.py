@@ -17,8 +17,7 @@ import os
 import re
 import sys
 import threading
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from typing import Optional
 
 from . import floor, gw
@@ -77,41 +76,38 @@ def space_rank(space: str) -> int:
     raise DomainError(f"unknown space token {space!r}")
 
 
-@dataclass(frozen=True)
-class InvariantKey:
-    """A checked key holding the canonical class: monodromy twins, qx2t cut
-    swaps, deg6 and p2-side GW multiplicity permutations give equal keys."""
+class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
+    """A checked key, kind "GW" or "W", holding the canonical class: monodromy
+    twins, qx2t cut swaps, deg6 and p2-side GW multiplicity permutations give
+    equal keys."""
 
-    kind: str        # "GW" or "W"
-    space: str
-    cls: tuple
-    pairs: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("GW", "W"):
-            raise DomainError(f"bad kind {self.kind!r}")
-        if self.kind == "GW" and self.pairs != 0:
+    def __new__(klass, kind: str, space: str, cls: tuple, pairs: int = 0):
+        if kind not in ("GW", "W"):
+            raise DomainError(f"bad kind {kind!r}")
+        if kind == "GW" and pairs != 0:
             raise DomainError("GW keys carry pairs = 0")
-        if self.pairs < 0:
+        if pairs < 0:
             raise DomainError("pairs must be nonnegative")
-        rank = space_rank(self.space)
-        if len(self.cls) != rank:
-            raise DomainError(
-                f"space {self.space}: class {self.cls} has length {len(self.cls)}, want {rank}"
-            )
-        cls = tuple(int(x) for x in self.cls)
-        if self.space in SURFACES:
-            lat = SURFACES[self.space]
+        rank = space_rank(space)
+        if len(cls) != rank:
+            raise DomainError(f"space {space}: class {cls} has length {len(cls)}, want {rank}")
+        cls = tuple(int(x) for x in cls)
+        if space in SURFACES:
+            lat = SURFACES[space]
             # W keys only on the quadric side: there the twin is a monodromy image
-            if self.kind == "GW" or lat.vanishing_cycle is not None:
+            if kind == "GW" or lat.vanishing_cycle is not None:
                 cls = gw.canonical_class(lat, cls)
-        elif self.space in _DIAGONAL:
+        elif space in _DIAGONAL:
             # the monodromy (``lattice.cremona``), restricted to the diagonal, swaps the two cuts
             a, alpha, beta = cls
             cls = min(cls, (a, beta, alpha))
-        elif self.space == "deg6":
+        elif space == "deg6":
             cls = tuple(sorted(cls, reverse=True))
-        object.__setattr__(self, "cls", cls)
+        return super().__new__(klass, kind, space, cls, pairs)
+
+    _make = classmethod(lambda klass, fields: klass(*fields))  # so _replace checks
 
     def __str__(self):
         cls = ",".join(map(_text, self.cls))
@@ -192,10 +188,15 @@ def _cut_zero(key: InvariantKey) -> Optional[InvariantKey]:
     return InvariantKey("W", key.space, (a, b, *(0 if x == 1 else x for x in cuts)))
 
 
-@dataclass
 class IngestReport:
-    inserted: int = 0
-    rejected: list = field(default_factory=list)   # (lineno, reason)
+    """What one ``ingest_csv`` did: rows inserted, and (lineno, reason) per row rejected."""
+
+    def __init__(self, inserted: int = 0, rejected: Optional[list] = None):
+        self.inserted = inserted
+        self.rejected = [] if rejected is None else rejected
+
+    def __repr__(self):
+        return f"IngestReport(inserted={self.inserted!r}, rejected={self.rejected!r})"
 
 
 class Store:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -140,7 +139,7 @@ def test_w_threefold_builds_the_line_once(monkeypatch, store, bare_store):
         def line(d, line=family.line):
             calls.append(d)
             return line(d)
-        monkeypatch.setitem(FAMILIES, family.id, dataclasses.replace(family, line=line))
+        monkeypatch.setitem(FAMILIES, family.id, family._replace(line=line))
     queries = [
         (WelschingerQuery("deg8", (5,), 0), store),
         (WelschingerQuery("deg8", (4,), 0), store),         # vanishes: odd line length

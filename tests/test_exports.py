@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pezzo
 
 
@@ -12,3 +16,13 @@ def test_star_import_binds_every_export():
     exec("from pezzo import *", namespace)
     assert set(pezzo.__all__) <= set(namespace)
 
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # each CLI command is a fresh process: these two would cost it ~10 ms of start-up
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("import sys; before = set(sys.modules); import pezzo, pezzo.cli; pezzo.Store(); "
+             "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -373,3 +374,16 @@ def test_floor_diagram_is_an_immutable_record():
         "floors=3 div=1,0,-1 edges=0-1:1,1-2:3 down=2,0,0 up=0,0,1 decorations=2 markings=7")
     assert FloorDiagram(1, (0,), (), (1,), (1,), 1).dump_line() == (
         "floors=1 div=0 edges=- down=1 up=1 decorations=1 markings=1")
+
+
+def test_real_count_leaves_no_cyclic_garbage():
+    # the weighting build's recursive closure must not keep its results alive
+    # until a collection: with the collector off, none may be left to find
+    pc = polygon_of("qx2", (5, 5, 2, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        assert fd_count_real_l0(pc) == 23698434
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
