@@ -27,14 +27,6 @@ from .errors import (
     UnsupportedLatticeError,
     WQueryError,
 )
-from .floor import (
-    FloorDiagram,
-    PolygonClass,
-    enumerate_diagrams,
-    fd_count_complex,
-    fd_count_real_l0,
-    polygon_of,
-)
 from .gw import gw_blowup_p2, gw_surface
 from .lattice import (
     FAMILIES,
@@ -70,3 +62,10 @@ __all__ = [
     "DomainError", "DegeneratePolygonError", "EvenPairingError",
     "WQueryError", "DataUnavailableError", "CsvParseError", "CacheError",
 ]
+
+
+def __getattr__(name):  # PEP 562: the names of __all__ not bound above are floor's
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import floor
+    return getattr(floor, name)

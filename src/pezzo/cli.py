@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 
-from . import floor
 from .combine import WelschingerQuery, gw_threefold, w_threefold
 from .errors import DataUnavailableError, PezzoError
 from .gw import gw_surface
@@ -89,6 +88,7 @@ def _build_parser() -> _Parser:
 
 
 def _dump_diagrams(surface: str, cls: tuple, out) -> None:
+    from . import floor
     for diag in floor.enumerate_diagrams(floor.polygon_of(surface, cls)):
         print(diag.dump_line(), file=out)
 

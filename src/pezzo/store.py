@@ -20,7 +20,7 @@ import threading
 from collections import Counter, namedtuple
 from typing import Optional
 
-from . import floor, gw
+from . import gw
 from .errors import (
     CacheError,
     CsvParseError,
@@ -93,7 +93,7 @@ class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
         rank = space_rank(space)
         if len(cls) != rank:
             raise DomainError(f"space {space}: class {cls} has length {len(cls)}, want {rank}")
-        cls = tuple(int(x) for x in cls)
+        cls = tuple(map(int, cls))
         if space in SURFACES:
             lat = SURFACES[space]
             # W keys only on the quadric side: there the twin is a monodromy image
@@ -105,7 +105,7 @@ class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
             cls = min(cls, (a, beta, alpha))
         elif space == "deg6":
             cls = tuple(sorted(cls, reverse=True))
-        return super().__new__(klass, kind, space, cls, pairs)
+        return tuple.__new__(klass, (kind, space, cls, pairs))
 
     _make = classmethod(lambda klass, fields: klass(*fields))  # so _replace checks
 
@@ -157,6 +157,7 @@ def _w_l0_surface(key: InvariantKey, total: int, zero: Optional[InvariantKey] = 
     (d; a2, a3, a1) is lower exactly when max(a1, a2) < a3 < d.  Else it is
     counted on its own polygon or, if given, on the cheaper one of ``zero``,
     its ``_cut_zero`` class, which has no lower mate: its c = d - a3 is larger."""
+    from . import floor  # on first use: most commands count no floor diagram
     try:
         pc = floor.polygon_of(key.space, key.cls)
     except DomainError:  # no Newton polygon: a blown-up plane
@@ -242,19 +243,19 @@ class Store:
                 os.truncate(path, len(data) - len(tail))
             for lineno, raw in enumerate(rows, start=1):
                 try:
-                    line = raw.decode("utf-8").strip()
-                    if not line or line.startswith("#"):
+                    line = raw.decode().strip()
+                    if not line or line[0] == "#":
                         continue
-                    parts = line.split(",")
+                    kind, *fields = line.split(",")
                     try:
-                        nums = [int(x) for x in parts[1:]]
+                        nums = list(map(int, fields))
                     except ValueError:  # no integer, or one past the digit limit
-                        nums = [_long_int(x) for x in parts[1:]]
-                    key = InvariantKey(parts[0], space, tuple(nums[:-2]), nums[-2])
+                        nums = [_long_int(x) for x in fields]
+                    key = InvariantKey(kind, space, tuple(nums[:-2]), nums[-2])
                     value = nums[-1]
                 except (ValueError, IndexError) as exc:
                     raise CacheError(f"{path}:{lineno}: bad row {raw!r}: {exc}") from None
-                if not self.insert(key, value, persist=False):
+                if self._data.setdefault(key, value) != value:  # no lock: not shared yet
                     raise CacheError(f"{path}:{lineno}: {key} is {_text(self._data[key])}, "
                                      f"not {_text(value)}")
 
@@ -271,15 +272,19 @@ class Store:
     def insert(self, key: InvariantKey, value: int, persist: bool = True) -> bool:
         """Insert an entry; False when it conflicts.  The row is written
         before the entry is kept, so a write that fails leaves neither."""
+        return self._insert(key, value, persist and self.cache_dir and self._append)
+
+    def _append(self, space: str, row: str):  # one open per row: get_or_compute's rows
+        with open(os.path.join(self.cache_dir, f"{space}.store"), "a", encoding="utf-8") as fh:
+            fh.write(row)
+
+    def _insert(self, key: InvariantKey, value: int, append) -> bool:
         with self._lock:
             old = self._data.get(key)
             if old is not None:
                 return old == value
-            if persist and self.cache_dir:
-                row = _row_text(key, value)
-                with open(os.path.join(self.cache_dir, f"{key.space}.store"), "a",
-                          encoding="utf-8") as fh:
-                    fh.write(row)
+            if append:
+                append(key.space, _row_text(key, value))
             self._data[key] = value
             return True
 
@@ -340,46 +345,57 @@ class Store:
             raise CsvParseError(
                 lineno, f"not UTF-8: {exc.reason} (byte {data[exc.start]:#04x})"
             ) from None
-        header = None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if header is None:
-                expect = ["space"] + [f"c{i}" for i in range(1, rank + 1)] + ["l", "value"]
-                if parts != expect:
-                    raise CsvParseError(lineno, f"bad header {line!r}, want {','.join(expect)}")
-                header = parts
-                continue
-            if len(parts) != rank + 3:
-                raise CsvParseError(lineno, f"expected {rank + 3} fields, got {len(parts)}")
-            row_space = parts[0]
-            value = parts[-1]
-            try:
-                cls = tuple(int(x) for x in parts[1:-2])
-                pairs = int(parts[-2])
-                if not _INTEGER.fullmatch(value) or len(value) > _digit_limit() > 0:
-                    int(value)  # int()'s own error: no integer literal, or past the limit
-            except ValueError as exc:
-                raise CsvParseError(lineno, str(exc)) from None
-            if row_space != space_id:
-                report.rejected.append((lineno, f"space {row_space!r} != {space_id!r}"))
-                continue
-            try:
-                key = InvariantKey(kind, space, cls, pairs)
-                if kind == "W":
-                    check_pairs(space, key.cls, pairs)
-                value = self._validate_row(key, value)
-            except (DomainError, ParityError, WQueryError) as exc:
-                report.rejected.append((lineno, str(exc)))
-                continue
-            if not self.insert(key, value, persist=persist):
-                report.rejected.append(
-                    (lineno, f"conflicts with stored value {_short(self.lookup(key))}")
-                )
-                continue
-            report.inserted += 1
+        header = handle = None
+        def append(_space, row):  # one handle per call, opened by its first kept row
+            nonlocal handle
+            if handle is None:
+                handle = open(os.path.join(self.cache_dir, f"{space}.store"), "ab", buffering=0)
+            rest = row.encode()
+            while rest:  # a short write goes on where it stopped, as a buffered flush does
+                rest = rest[handle.write(rest):]
+        try:
+            for lineno, raw in enumerate(lines, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = [p.strip() for p in line.split(",")]
+                if header is None:
+                    expect = ["space"] + [f"c{i}" for i in range(1, rank + 1)] + ["l", "value"]
+                    if parts != expect:
+                        raise CsvParseError(lineno, f"bad header {line!r}, want {','.join(expect)}")
+                    header = parts
+                    continue
+                if len(parts) != rank + 3:
+                    raise CsvParseError(lineno, f"expected {rank + 3} fields, got {len(parts)}")
+                row_space = parts[0]
+                value = parts[-1]
+                try:
+                    cls = tuple(map(int, parts[1:-2]))
+                    pairs = int(parts[-2])
+                    if not _INTEGER.fullmatch(value) or len(value) > _digit_limit() > 0:
+                        int(value)  # int()'s own error: no integer literal, or past the limit
+                except ValueError as exc:
+                    raise CsvParseError(lineno, str(exc)) from None
+                if row_space != space_id:
+                    report.rejected.append((lineno, f"space {row_space!r} != {space_id!r}"))
+                    continue
+                try:
+                    key = InvariantKey(kind, space, cls, pairs)
+                    if kind == "W":
+                        check_pairs(space, key.cls, pairs)
+                    value = self._validate_row(key, value)
+                except (DomainError, ParityError, WQueryError) as exc:
+                    report.rejected.append((lineno, str(exc)))
+                    continue
+                if not self._insert(key, value, persist and self.cache_dir and append):
+                    report.rejected.append(
+                        (lineno, f"conflicts with stored value {_short(self.lookup(key))}")
+                    )
+                    continue
+                report.inserted += 1
+        finally:
+            if handle is not None:
+                handle.close()
         if header is None:
             raise CsvParseError(1, "missing header line")
         return report

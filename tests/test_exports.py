@@ -26,3 +26,15 @@ def test_import_leaves_out_dataclasses_and_inspect():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
+
+
+def test_floor_loads_on_first_use():
+    # a command that counts no floor diagram does not compile floor.py; its
+    # names still resolve through the package, and then floor is loaded
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("import sys; import pezzo.cli; pezzo.Store(); a = 'pezzo.floor' in sys.modules; "
+             "from pezzo import polygon_of; "
+             "print(a, 'pezzo.floor' in sys.modules, polygon_of is pezzo.floor.polygon_of)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False True True\n"), proc.stderr

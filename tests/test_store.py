@@ -273,6 +273,108 @@ def test_ingest_parse_errors(tmp_path, bare_store):
     assert err.value.lineno == 2
 
 
+class _HeldHandle:
+    """An ingest's append handle that writes at most ``chunk`` bytes a call
+    and fails as kept row ``fail_row`` starts."""
+
+    def __init__(self, fh, chunk, fail_row):
+        self.fh, self.chunk, self.fail_row, self.rows, self.left = fh, chunk, fail_row, 0, 0
+
+    def write(self, data):
+        if not self.left:  # the first call of a row
+            self.rows += 1
+            if self.rows == self.fail_row:
+                raise OSError(28, "No space left on device")
+            self.left = len(data)
+        written = self.fh.write(bytes(data[:self.chunk]))
+        self.left -= written
+        return written
+
+    def close(self):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("chunk", [None, 3], ids=["whole-writes", "short-writes"])
+def test_failed_write_through_the_held_handle(tmp_path, monkeypatch, capsys, chunk):
+    # the second kept row fails: the first stays whole in the file, the
+    # second is neither there nor in the store, and the handle is closed
+    # q has no bundled fixture, so the CLI's store keeps these rows too
+    csv = _write(tmp_path / "rows.csv", "space,c1,c2,l,value\nq,2,3,1,24\nq,1,4,1,1\nq,3,3,1,100\n")
+    handles = []
+
+    def held_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if mode != "ab":
+            return fh
+        handles.append(_HeldHandle(fh, chunk, fail_row=2))
+        return handles[-1]
+
+    monkeypatch.setattr(store_mod, "open", held_open, raising=False)
+    cache = tmp_path / "cache"
+    store = Store(cache_dir=str(cache), load_fixtures=False)
+    with pytest.raises(OSError, match="No space left"):
+        store.ingest_csv(csv, "q")
+    assert (cache / "q.store").read_bytes() == b"W,2,3,1,24\n"
+    assert store.lookup(InvariantKey("W", "q", (2, 3), 1)) == 24
+    assert store.lookup(InvariantKey("W", "q", (1, 4), 1)) is None
+    assert len(handles) == 1 and handles[0].fh.closed
+    # the same failure under ``pezzo ingest``: one error line, exit 1
+    argv = ["--cache-dir", str(tmp_path / "cli"), "ingest", "--surface", "q", "--file", csv]
+    capsys.readouterr()
+    assert cli.main(argv, out=io.StringIO()) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert (tmp_path / "cli" / "q.store").read_bytes() == b"W,2,3,1,24\n"
+    assert len(handles) == 2 and handles[1].fh.closed
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_parse_error_keeps_earlier_rows_and_no_descriptor(tmp_path):
+    csv = _write(tmp_path / "rows.csv",
+                 "space,c1,l,value\np2,3,0,8\np2,4,0,240\np2,x,0,1\np2,5,0,18264\n")
+    store = Store(cache_dir=str(tmp_path / "cache"), load_fixtures=False)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(CsvParseError) as err:  # holds the ingest's frame
+        store.ingest_csv(csv, "p2")
+    assert err.value.lineno == 4
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert (tmp_path / "cache" / "p2.store").read_bytes() == b"W,3,0,8\nW,4,0,240\n"
+
+
+def test_clear_cache_between_ingests(tmp_path):
+    # no handle outlives an ingest call: the second call's rows go to a new file
+    cache = tmp_path / "cache"
+    store = Store(cache_dir=str(cache), load_fixtures=False)
+    store.ingest_csv(_write(tmp_path / "a.csv", "space,c1,l,value\np2,3,0,8\n"), "p2")
+    assert store_mod.clear_cache(str(cache)) == 1
+    store.ingest_csv(_write(tmp_path / "b.csv", "space,c1,l,value\np2,4,0,240\np2,5,0,18264\n"),
+                     "p2")
+    assert (cache / "p2.store").read_bytes() == b"W,4,0,240\nW,5,0,18264\n"
+
+
+def test_ingest_cache_file_holds_the_kept_rows_in_csv_order(tmp_path):
+    csv = _write(tmp_path / "rows.csv",
+                 "space,c1,l,value\n"
+                 "p2,4,0,240\n"
+                 "p2,3,0,8\n"
+                 "p2,3,0,8\n"      # consistent duplicate: kept once
+                 "p2,3,0,10\n"     # conflict
+                 "q,3,0,8\n"       # space mismatch
+                 "p2,3,1,7\n"      # parity: GW(p2; 3) = 12
+                 "p2,3,1,14\n"     # bound
+                 "p2,3,1,6\n"
+                 "p2,5,0,18264\n")
+    cache = tmp_path / "cache"
+    report = Store(cache_dir=str(cache), load_fixtures=False).ingest_csv(csv, "p2")
+    assert report.inserted == 5
+    assert [lineno for lineno, _ in report.rejected] == [5, 6, 7, 8]
+    kept = {InvariantKey("W", "p2", (d,), l): v for d, l, v in
+            [(4, 0, 240), (3, 0, 8), (3, 1, 6), (5, 0, 18264)]}
+    text = "".join(store_mod._row_text(key, value) for key, value in kept.items())
+    assert (cache / "p2.store").read_bytes() == text.encode()
+    again = Store(cache_dir=str(cache), load_fixtures=False)
+    assert {key: again.lookup(key) for key in kept} == kept and len(again) == len(kept)
+
+
 def test_ingest_twisted_threefold_rows(tmp_path):
     # deg6t rows are checked against GW(deg6; 2, 2, 1) = 1
     store = Store(cache_dir=None, load_fixtures=False)
@@ -407,20 +509,39 @@ def test_bundled_fixture_rows_all_load():
     assert len(Store()) == total == 42
 
 
-@pytest.mark.parametrize("body, lineno", [
-    (b"W,1,\nW,3,0,8\n", 1),             # torn row that is not the last line
-    (b"W,3,0,8\nW\n", 2),                 # too few fields
-    (b"W,3,0,8\nW,3,x,8\n", 2),           # not an integer
-    (b"W,3,1,0,8\n", 1),                  # class of the wrong rank
-    (b"# note\nW,\xff,0,8\n", 2),         # not UTF-8
-    (b"W,3,0,8\nW,3,0,9\n", 2),           # conflicting duplicate
+# the first six ids are pytest's default ids for (body, lineno), kept stable
+@pytest.mark.parametrize("name, body, message", [
+    pytest.param("p2", b"W,1,\nW,3,0,8\n",
+                 "1: bad row b'W,1,': invalid literal for int() with base 10: ''",
+                 id="W,1,\nW,3,0,8\n-1"),  # torn row that is not the last line
+    pytest.param("p2", b"W,3,0,8\nW\n", "2: bad row b'W': list index out of range",
+                 id="W,3,0,8\nW\n-2"),  # too few fields
+    pytest.param("p2", b"W,3,0,8\nW,3,x,8\n",
+                 "2: bad row b'W,3,x,8': invalid literal for int() with base 10: 'x'",
+                 id="W,3,0,8\nW,3,x,8\n-2"),  # not an integer
+    pytest.param("p2", b"W,3,1,0,8\n",
+                 "1: bad row b'W,3,1,0,8': space p2: class (3, 1) has length 2, want 1",
+                 id="W,3,1,0,8\n-1"),  # class of the wrong rank
+    pytest.param("p2", b"# note\nW,\xff,0,8\n",
+                 "2: bad row b'W,\\xff,0,8': 'utf-8' codec can't decode byte 0xff in position 2: "
+                 "invalid start byte", id="# note\nW,\xff,0,8\n-2"),  # not UTF-8
+    pytest.param("p2", b"W,3,0,8\nW,3,0,9\n", "2: (W p2 (3) l=0) is 8, not 9",
+                 id="W,3,0,8\nW,3,0,9\n-2"),  # conflicting duplicate
+    pytest.param("p2", b"X,3,0,8\n", "1: bad row b'X,3,0,8': bad kind 'X'", id="kind"),
+    pytest.param("p2", b"W,3,-1,8\n", "1: bad row b'W,3,-1,8': pairs must be nonnegative",
+                 id="negative-pairs"),
+    pytest.param("p2", b"GW,3,1,12\n", "1: bad row b'GW,3,1,12': GW keys carry pairs = 0",
+                 id="gw-pairs"),
+    # monodromy twins with different values: the second row's class is made canonical
+    pytest.param("q", b"W,2,3,0,4\nW,3,2,0,6\n", "2: (W q (2,3) l=0) is 4, not 6",
+                 id="twin-conflict"),
 ])
-def test_cache_bad_row_names_file_and_line(tmp_path, body, lineno):
-    path = tmp_path / "p2.store"
+def test_cache_bad_row_names_file_and_line(tmp_path, name, body, message):
+    path = tmp_path / f"{name}.store"
     path.write_bytes(body)
     with pytest.raises(CacheError) as err:
         Store(cache_dir=str(tmp_path), load_fixtures=False)
-    assert str(err.value).startswith(f"{path}:{lineno}: ")
+    assert str(err.value) == f"{path}:{message}"
     assert path.read_bytes() == body
 
 
