@@ -49,7 +49,7 @@ from operator import add, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DegeneratePolygonError, DomainError
-from .lattice import SURFACES, quadric_coords
+from .lattice import POLYGON_SURFACES, SURFACES, quadric_coords
 
 
 class PolygonClass(NamedTuple):
@@ -106,16 +106,15 @@ def _truncated_rectangle(surface_id, class_vec, a, b, alpha, beta) -> PolygonCla
 def polygon_of(lattice, d: Sequence[int]) -> PolygonClass:
     """Newton polygon dual to a class on p2 (a triangle) or on a quadric-side
     surface (a rectangle cut at the class's ``quadric_coords``)."""
+    surface_id = lattice if isinstance(lattice, str) else lattice.id
+    if surface_id not in POLYGON_SURFACES:
+        raise DomainError(f"no Newton polygon for surface {surface_id!r}")
     if isinstance(lattice, str):
-        if lattice not in SURFACES:
-            raise DomainError(f"no Newton polygon for surface {lattice!r}")
         lattice = SURFACES[lattice]
     d = lattice.check(d)
     if lattice.side == "q":
         return _truncated_rectangle(lattice.id, d, *quadric_coords(lattice, d))
-    if lattice.id != "p2":
-        raise DomainError(f"no Newton polygon for surface {lattice.id!r}")
-    (deg,) = d
+    (deg,) = d  # p2
     if deg < 1:
         raise DegeneratePolygonError(f"p2({deg}): degree must be positive")
     slabs = tuple((0, 1) for _ in range(deg))

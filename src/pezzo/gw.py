@@ -15,7 +15,10 @@ the test suite keeps the last two as oracles (``tests/oracles.py``).
 and keeps no cache: the one memo is ``_BLOWUP_MEMO``, the recursion's own
 table, keyed on the reduced class.  A miss at the public entry first fills,
 bottom-up, every reduced class of degree 1..d whose multiplicities are at
-most the largest one of the class asked for.  The halves of each such class
+most the largest one of the class asked for.  It visits only the candidates
+m1 >= m2 >= m3 >= 0 with m1 + m2 + m3 <= e at each degree e, descending,
+since a larger sum is mapped down by the Cremona step; ``_reduce`` applies
+the zero tests to each.  The halves of each such class
 reduce into the same box at a lower degree, so no call recurses more than
 one splitting deep and no starting degree has to be chosen.  All arithmetic
 is exact.
@@ -59,11 +62,16 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
         return value
     reduced = _reduce(*key)
     if reduced is not None and reduced not in _BLOWUP_MEMO:
-        # the fill of the module docstring, degree by degree
+        # the fill of the module docstring, degree by degree, over the sorted
+        # triples that sum to at most the degree, each entry descending
+        top = reduced[1]
         for e in range(1, reduced[0] + 1):
-            for m in itertools.combinations_with_replacement(range(min(reduced[1], e), -1, -1), 3):
-                if (e, *m) not in _BLOWUP_MEMO and _reduce(e, *m) == (e, *m):
-                    _gw_blowup(e, *m)
+            for m1 in range(min(top, e), -1, -1):
+                for m2 in range(min(m1, e - m1), -1, -1):
+                    for m3 in range(min(m2, e - m1 - m2), -1, -1):
+                        m = (e, m1, m2, m3)
+                        if m not in _BLOWUP_MEMO and _reduce(*m) == m:
+                            _gw_blowup(*m)
     return _count(*key)
 
 

@@ -102,6 +102,10 @@ QX2 = SurfaceLattice("qx2", 4, "q", (0, 0, 1, -1))
 
 SURFACES = {s.id: s for s in (P2, P2X1, P2X2, P2X3, Q, QX1, QX2)}
 
+# the surfaces whose classes have a Newton polygon (``floor.polygon_of``): the
+# plane's are triangles, the quadric side's cut rectangles; the blown-up planes have none
+POLYGON_SURFACES = frozenset(("p2", "q", "qx1", "qx2"))
+
 
 def _qx2_line(a, b, c, twist):
     # (a, b; alpha, beta) with alpha + beta = s = a + b - c; s < 0 only over

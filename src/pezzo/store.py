@@ -30,8 +30,8 @@ from .errors import (
     ParityError,
     WQueryError,
 )
-from .lattice import (FAMILIES, SURFACES, constraint_count, plane_to_quadric, quadric_coords,
-                      quadric_to_plane)
+from .lattice import (FAMILIES, POLYGON_SURFACES, SURFACES, constraint_count, plane_to_quadric,
+                      quadric_coords, quadric_to_plane)
 
 # member spaces that are not surfaces (qx2t): the surface classes (a, a; alpha, beta)
 # fixed by the real twist, keyed (a, alpha, beta), read through the diagonal cls[:1] + cls
@@ -58,7 +58,11 @@ def _text(number) -> str:
 
 
 def _row_text(key: InvariantKey, value: int) -> str:
-    return f"{key.kind},{','.join(map(_text, (*key.cls, key.pairs, value)))}\n"
+    fields = (*key.cls, key.pairs, value)
+    try:
+        return f"{key.kind},{','.join(map(str, fields))}\n"
+    except ValueError:  # past the int/str digit limit
+        return f"{key.kind},{','.join(map(_text, fields))}\n"
 
 
 def _long_int(token: str) -> int:
@@ -129,7 +133,10 @@ def pair_bound(space: str, cls: tuple) -> int:
 
 def check_pairs(space: str, cls: tuple, pairs: int) -> None:
     """Raise WQueryError unless 0 <= pairs <= ``pair_bound(space, cls)``."""
-    bound = pair_bound(space, cls)
+    _check_bound(space, cls, pairs, pair_bound(space, cls))
+
+
+def _check_bound(space: str, cls: tuple, pairs: int, bound: int) -> None:
     if not 0 <= pairs <= bound:
         note = " (at least one real point is required)" if space in FAMILIES else ""
         raise WQueryError(f"{space}{cls}: pairs {pairs} outside 0..{max(bound, -1)}{note}")
@@ -157,11 +164,11 @@ def _w_l0_surface(key: InvariantKey, total: int, zero: Optional[InvariantKey] = 
     (d; a2, a3, a1) is lower exactly when max(a1, a2) < a3 < d.  Else it is
     counted on its own polygon or, if given, on the cheaper one of ``zero``,
     its ``_cut_zero`` class, which has no lower mate: its c = d - a3 is larger."""
+    if key.space not in POLYGON_SURFACES:  # a blown-up plane, or qx2t
+        raise DataUnavailableError([key])
     from . import floor  # on first use: most commands count no floor diagram
     try:
         pc = floor.polygon_of(key.space, key.cls)
-    except DomainError:  # no Newton polygon: a blown-up plane
-        raise DataUnavailableError([key]) from None
     except DegeneratePolygonError:
         if total == 1 and constraint_count(SURFACES[key.space], key.cls) == 0:
             return 1
@@ -346,6 +353,9 @@ class Store:
                 lineno, f"not UTF-8: {exc.reason} (byte {data[exc.start]:#04x})"
             ) from None
         header = handle = None
+        # each canonical class's pair bound and complex count, for this call only:
+        # a W table holds one row per (class, l)
+        bounds, totals = {}, {}
         def append(_space, row):  # one handle per call, opened by its first kept row
             nonlocal handle
             if handle is None:
@@ -382,8 +392,14 @@ class Store:
                 try:
                     key = InvariantKey(kind, space, cls, pairs)
                     if kind == "W":
-                        check_pairs(space, key.cls, pairs)
-                    value = self._validate_row(key, value)
+                        bound = bounds.get(key.cls)
+                        if bound is None:
+                            bound = bounds[key.cls] = pair_bound(space, key.cls)
+                        _check_bound(space, key.cls, pairs, bound)
+                    total = totals.get(key.cls)
+                    if total is None:  # counted once the class has a row within its bound
+                        total = totals[key.cls] = gw_of(space, key.cls)
+                    value = self._validate_row(key, value, total)
                 except (DomainError, ParityError, WQueryError) as exc:
                     report.rejected.append((lineno, str(exc)))
                     continue
@@ -400,10 +416,10 @@ class Store:
             raise CsvParseError(1, "missing header line")
         return report
 
-    def _validate_row(self, key: InvariantKey, token: str) -> int:
+    def _validate_row(self, key: InvariantKey, token: str, total: int) -> int:
         """The value of a row's integer token; DomainError when it is not
-        the complex count (GW) or breaks ``w_conflict`` against it (W)."""
-        total = gw_of(key.space, key.cls)
+        the complex count ``total`` of its class (GW) or breaks
+        ``w_conflict`` against it (W)."""
         if len(token) > 4300 and token.isascii():
             digits = token.lstrip("+-").replace("_", "").lstrip("0")
             # then |value| >= 10 ** (len - 1) >= 2 ** (3 * (len - 1)) > total

@@ -1,0 +1,102 @@
+"""Regenerate ``sweep.json``, the pinned outcome of the byte-identity sweep.
+
+    python3 tests/make_sweep.py [OUT]
+
+Each command of ``COMMANDS`` runs as ``python3 -m pezzo.cli --cache-dir cache
+...`` in a fresh process whose working directory is a fresh temporary
+directory, with the package imported from ``src/``.  For each, the file
+records the exit code, the sha256 of stdout, stderr whole and the sha256 of
+every file left in the cache directory.  The ``ingest`` command reads
+``INGEST_CSV``, written to ``rows.csv`` in that directory first.  Every
+printed number must stay the same, so the file only changes with the list.
+``test_sweep.py`` rebuilds it and compares the bytes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+
+COMMANDS = [
+    # the four cold commands of the benchmark
+    "table gw-deg6 --max-sum 28",
+    "table w-deg6 --max-sum 13",
+    "table w-deg7 --max-d 9",
+    "w2 --surface qx2 --class 5,5,2,3",
+    # the four tables at their defaults, in both formats
+    "table gw-deg6 --format md",
+    "table gw-deg6 --format csv",
+    "table w-deg7 --format md",
+    "table w-deg7 --format csv",
+    "table w-deg6 --format md",
+    "table w-deg6 --format csv",
+    "table w-deg6t --format md",
+    "table w-deg6t --format csv",
+    # the two large real tables
+    "table w-deg7 --max-d 11",
+    "table w-deg6 --max-sum 17",
+    # diagram dumps, complex and real
+    "w2 --surface qx2 --class 5,5,3,4 --dump-diagrams",
+    "gw2 --surface p2 --class 6 --dump-diagrams",
+    "w2 --surface p2 --class 6 --dump-diagrams",
+    "w2 --surface qx1 --class 4,5,2 --dump-diagrams",
+    "w2 --surface q --class 3,6 --dump-diagrams",
+    "gw2 --surface p2 --class 7 --dump-diagrams",
+    # a threefold count whose members were never ingested: exit 2
+    "w3 --family deg7 --class 5,0 --pairs 2",
+    "ingest --surface qx2 --file rows.csv",
+]
+
+# GW(qx2; 3, 3, 1, 2) = 620 with pair bound 4, GW(qx2; 2, 2, 1, 1) = 12
+INGEST_CSV = """\
+# rows that ingest keeps, merges and rejects
+space,c1,c2,c3,c4,l,value
+qx2,3,3,1,2,1,+100
+qx2,3,3,2,1,1,100
+qx2,3,3,1,2,2,1_02
+qx2,3,3,2,1,2,98
+qx2,2,2,1,1,0,-1_0
+qx2,2,2,1,1,1,+0
+qx2,3,3,1,2,5,0
+qx2,3,3,1,2,3,7
+qx2,3,3,1,2,4,-6_20
+"""
+
+
+def run(command: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PEZZO_CACHE_DIR", None)
+    with tempfile.TemporaryDirectory() as cwd:
+        with open(os.path.join(cwd, "rows.csv"), "w", encoding="utf-8") as fh:
+            fh.write(INGEST_CSV)
+        proc = subprocess.run([sys.executable, "-m", "pezzo.cli", "--cache-dir", "cache",
+                               *command.split()], cwd=cwd, env=env, capture_output=True,
+                              timeout=300, check=False)
+        cache = os.path.join(cwd, "cache")
+        names = sorted(os.listdir(cache)) if os.path.isdir(cache) else []
+        files = {}
+        for name in names:
+            with open(os.path.join(cache, name), "rb") as fh:
+                files[name] = hashlib.sha256(fh.read()).hexdigest()
+    return {"exit": proc.returncode, "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr": proc.stderr.decode(), "cache_files": files}
+
+
+def main() -> None:
+    out = sys.argv[1] if len(sys.argv) > 1 else os.path.join(HERE, "sweep.json")
+    with ThreadPoolExecutor(max_workers=3) as pool:  # three commands at a time
+        results = dict(zip(COMMANDS, pool.map(run, COMMANDS)))
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(results, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

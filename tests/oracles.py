@@ -19,7 +19,9 @@ diagrams are checked.  ``gw_blowup_oracle`` is the blow-up recursion over
 every splitting, with no Cremona reduction and no pruning of the splittings;
 ``pezzo.gw.gw_blowup_p2`` reduces each class under the Cremona map and
 visits only the splittings that can be nonzero, and must give the same
-values.
+values.  ``gw_blowup_box_scan`` is ``gw_blowup_p2`` with a fill that scans
+every sorted triple of the box; the fill that visits only the reduced
+candidates must compute the same classes in the same order.
 
 ``enumerate_diagrams_scan`` finds the floor diagrams by scanning every
 spanning tree of the floors in Prüfer order and every weighting of it, and
@@ -41,6 +43,7 @@ from typing import Callable, Iterator, Sequence
 from pezzo.combine import WelschingerQuery, _member_key, w_vanishes_a_priori
 from pezzo.errors import DegeneratePolygonError, DomainError, PezzoError, RankMismatchError
 from pezzo.floor import FloorDiagram, PolygonClass, _divergence_patterns
+from pezzo import gw
 from pezzo.gw import gw_surface
 from pezzo.lattice import DEG6, DEG6T, DEG7, DEG8, FAMILIES, ThreefoldFamily, fiber, pair
 from pezzo.signs import sign_exponent
@@ -285,6 +288,23 @@ def _blowup_recursion(d: int, m: tuple) -> int:
                     total += n1 * n2 * dot * coeff
     _BLOWUP_ORACLE_MEMO[(d, m)] = total
     return total
+
+
+def gw_blowup_box_scan(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
+    """``pezzo.gw.gw_blowup_p2`` with its former fill: at each degree e, every
+    sorted triple of entries min(m1, e)..0, descending, kept when ``_reduce``
+    returns it unchanged."""
+    key = (int(d), int(a1), int(a2), int(a3))
+    value = gw._BLOWUP_MEMO.get(key)
+    if value is not None:
+        return value
+    reduced = gw._reduce(*key)
+    if reduced is not None and reduced not in gw._BLOWUP_MEMO:
+        for e in range(1, reduced[0] + 1):
+            for m in itertools.combinations_with_replacement(range(min(reduced[1], e), -1, -1), 3):
+                if (e, *m) not in gw._BLOWUP_MEMO and gw._reduce(e, *m) == (e, *m):
+                    gw._gw_blowup(e, *m)
+    return gw._count(*key)
 
 
 def _binom(n: int, k: int) -> int:

@@ -38,3 +38,21 @@ def test_floor_loads_on_first_use():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False True True\n"), proc.stderr
+
+
+def test_no_floor_for_a_space_without_polygons():
+    # an unstored l = 0 key of a space with no Newton polygon is unavailable
+    # before floor.py is loaded: the store asks lattice.POLYGON_SURFACES
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("import sys, pezzo\n"
+             "store = pezzo.Store(load_fixtures=False)\n"
+             "for key in (('qx2t', (1, 0, 1)), ('p2x3', (4, 1, 1, 1))):\n"
+             "    try:\n"
+             "        store.get_or_compute(pezzo.InvariantKey('W', *key))\n"
+             "    except pezzo.DataUnavailableError as exc:\n"
+             "        print(*exc.keys)\n"
+             "print('pezzo.floor' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("(W qx2t (1,0,1) l=0)\n(W p2x3 (4,1,1,1) l=0)\nFalse\n")

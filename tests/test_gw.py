@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -102,6 +103,37 @@ def test_blowup_half_left_out_of_the_fill():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{gw_blowup_oracle(9, 3, 3, 3)}\n" == "977333748480\n"
+
+
+_FILL_PROBE = """
+import json, sys
+import oracles
+from pezzo import gw
+visits, blowup = [], gw._gw_blowup
+def record(*m):
+    visits.append(m)
+    return blowup(*m)
+gw._gw_blowup = record
+fill = oracles.gw_blowup_box_scan if sys.argv[1] == "scan" else gw.gw_blowup_p2
+print(json.dumps([fill(13, 6, 4, 2), visits, sorted(gw._BLOWUP_MEMO)]))
+"""
+
+
+def test_fill_computes_what_the_box_scan_computes():
+    # in a fresh process each: the fill over the reduced candidates calls
+    # _gw_blowup on the classes of the old scan of the whole box, in the same
+    # order, and leaves the memo with the same keys
+    here = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((os.path.join(here, os.pardir, "src"), here)))
+    runs = []
+    for fill in ("reduced", "scan"):
+        proc = subprocess.run([sys.executable, "-c", _FILL_PROBE, fill], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    value, visits, keys = json.loads(runs[0])
+    assert value == gw_blowup_oracle(13, 6, 4, 2) and len(visits) > 100 and len(keys) > len(visits)
 
 
 def test_oracle_equality():

@@ -375,6 +375,83 @@ def test_ingest_cache_file_holds_the_kept_rows_in_csv_order(tmp_path):
     assert {key: again.lookup(key) for key in kept} == kept and len(again) == len(kept)
 
 
+def test_ingest_writes_the_rows_as_this_text(tmp_path):
+    # the cache files spelled out: a "+" sign and digit groups dropped,
+    # negative values kept, a consistent duplicate written once, a twin
+    # written as its canonical class
+    cache = tmp_path / "cache"
+    store = Store(cache_dir=str(cache), load_fixtures=False)
+    report = store.ingest_csv(_write(tmp_path / "p2.csv",
+                                     "space,c1,l,value\n"
+                                     "p2,3,1,-6\n"
+                                     "p2,4,0,+240\n"
+                                     "p2,5,0,18_264\n"
+                                     "p2,3,1,-6\n"
+                                     "p2,4,2,-8_0\n"), "p2")
+    assert (report.inserted, report.rejected) == (5, [])
+    # GW(deg7; 5, 0) = 105; GW(qx2; 3, 3, 1, 2) = 620
+    report = store.ingest_csv(_write(tmp_path / "deg7.csv",
+                                     "space,c1,c2,l,value\n"
+                                     "deg7,5,0,0,+5\n"
+                                     "deg7,5,0,1,-1_01\n"), "deg7")
+    assert (report.inserted, report.rejected) == (2, [])
+    report = store.ingest_csv(_write(tmp_path / "qx2.csv",
+                                     "space,c1,c2,c3,c4,l,value\n"
+                                     "qx2,3,3,2,1,1,-100\n"), "qx2")
+    assert (report.inserted, report.rejected) == (1, [])
+    assert (cache / "p2.store").read_bytes() == b"W,3,1,-6\nW,4,0,240\nW,5,0,18264\nW,4,2,-80\n"
+    assert (cache / "deg7.store").read_bytes() == b"W,5,0,0,5\nW,5,0,1,-101\n"
+    assert (cache / "qx2.store").read_bytes() == b"W,3,3,1,2,1,-100\n"
+
+
+def test_ingest_checks_each_class_once(tmp_path, monkeypatch):
+    # pair_bound and gw_of run once per canonical class of one call, a row
+    # past its class's bound never counts the class, and repeated rows of a
+    # class keep their rejection texts and line numbers
+    calls = []
+    for name in ("pair_bound", "gw_of"):
+        def spy(space, cls, name=name, real=getattr(store_mod, name)):
+            calls.append((name, space, cls))
+            return real(space, cls)
+        monkeypatch.setattr(store_mod, name, spy)
+    store = Store(load_fixtures=False)
+    report = store.ingest_csv(_write(tmp_path / "p2.csv",
+                                     "space,c1,l,value\n"
+                                     "p2,3,0,8\n"
+                                     "p2,3,1,7\n"
+                                     "p2,3,1,6\n"
+                                     "p2,3,5,0\n"
+                                     "p2,3,2,14\n"
+                                     "p2,3,5,0\n"
+                                     "p2,6,9,0\n"
+                                     "p2,4,1,144\n"
+                                     "p2,3,1,7\n"
+                                     "p2,3,1,8\n"
+                                     "p2,4,0,240\n"), "p2")
+    assert report.inserted == 4
+    assert report.rejected == [(3, "parity of 7 conflicts with complex count 12"),
+                               (5, "p2(3,): pairs 5 outside 0..4"),
+                               (6, "|14| exceeds complex count 12"),
+                               (7, "p2(3,): pairs 5 outside 0..4"),
+                               (8, "p2(6,): pairs 9 outside 0..8"),
+                               (10, "parity of 7 conflicts with complex count 12"),
+                               (11, "conflicts with stored value 6")]
+    assert calls == [("pair_bound", "p2", (3,)), ("gw_of", "p2", (3,)),
+                     ("pair_bound", "p2", (6,)),
+                     ("pair_bound", "p2", (4,)), ("gw_of", "p2", (4,))]
+    # monodromy twins are one class; the dict lives for one call
+    calls.clear()
+    report = store.ingest_csv(_write(tmp_path / "qx2.csv",
+                                     "space,c1,c2,c3,c4,l,value\n"
+                                     "qx2,3,3,1,2,1,100\n"
+                                     "qx2,3,3,2,1,2,98\n"), "qx2")
+    assert (report.inserted, report.rejected) == (2, [])
+    assert calls == [("pair_bound", "qx2", (3, 3, 1, 2)), ("gw_of", "qx2", (3, 3, 1, 2))]
+    calls.clear()
+    store.ingest_csv(_write(tmp_path / "again.csv", "space,c1,l,value\np2,3,0,8\n"), "p2")
+    assert calls == [("pair_bound", "p2", (3,)), ("gw_of", "p2", (3,))]
+
+
 def test_ingest_twisted_threefold_rows(tmp_path):
     # deg6t rows are checked against GW(deg6; 2, 2, 1) = 1
     store = Store(cache_dir=None, load_fixtures=False)
