@@ -5,23 +5,25 @@ plane (Kontsevich-Manin), seeded with the rigid low-constraint classes, and
 the only complex backend ``gw_surface`` runs.  It first maps a class whose
 multiplicities sum past its degree under the Cremona map ``lattice.cremona``,
 an automorphism of the surface (Goettsche-Pandharipande); one step brings the
-sum to at most the degree, so one computation serves a whole orbit.  It
-then visits only the splittings whose two halves can be nonzero, each with
-its swap.  It is checked against the floor diagrams of ``pezzo.floor``, the
-classical plane recursion and the unreduced recursion over every splitting;
-the test suite keeps the last two as oracles (``tests/oracles.py``).
+sum to at most the degree, so one computation serves a whole orbit.  A point
+of multiplicity 1 is one more point condition, so it then counts each entry 1
+as 0 (Goettsche-Pandharipande again).  The recursion visits only the
+splittings whose two halves can be nonzero, each with its swap.  It is
+checked against the floor diagrams of ``pezzo.floor``, the classical plane
+recursion and the unreduced recursion over every splitting; the test suite
+keeps the last two as oracles (``tests/oracles.py``).
 
 ``gw_surface`` is a change of basis (``quadric_coords``, ``quadric_to_plane``)
 and keeps no cache: the one memo is ``_BLOWUP_MEMO``, the recursion's own
 table, keyed on the reduced class.  A miss at the public entry first fills,
 bottom-up, every reduced class of degree 1..d whose multiplicities are at
 most the largest one of the class asked for.  It visits only the candidates
-m1 >= m2 >= m3 >= 0 with m1 + m2 + m3 <= e at each degree e, descending,
-since a larger sum is mapped down by the Cremona step; ``_reduce`` applies
-the zero tests to each.  The halves of each such class
-reduce into the same box at a lower degree, so no call recurses more than
-one splitting deep and no starting degree has to be chosen.  All arithmetic
-is exact.
+m1 >= m2 >= m3 >= 0 with no entry 1 and m1 + m2 + m3 <= e at each degree e,
+descending, since a larger sum is mapped down by the Cremona step and an
+entry 1 to 0; ``_reduce`` applies the zero tests to each.  The halves of
+each such class reduce into the same box at a lower degree, so no call
+recurses more than one splitting deep and no starting degree has to be
+chosen.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -37,15 +39,15 @@ from .lattice import (QX2, SURFACES, SurfaceLattice, cremona, monodromy, quadric
 
 # (d, a1, a2, a3) -> count.  A computed value is stored under every
 # permutation of its reduced class (``_reduce``) and under each key asked
-# for, so a lookup needs no sort.  The seeds are the reduced classes with
-# fewer than three constraints, (1; 0, 0, 0) and (1; 1, 0, 0), and the
-# classes that the zero tests of _reduce would wrongly reject: the
-# exceptional curves and the lines (1; 1, 1, 0).  Plain dicts act as atomic
-# get-or-compute maps under the interpreter lock; concurrent table
+# for, so a lookup needs no sort.  The seeds are the one reduced class
+# with fewer than three constraints, (1; 0, 0, 0), which (1; 1, 0, 0)
+# reduces to, and the classes that the zero tests of _reduce would wrongly
+# reject: the exceptional curves and the lines (1; 1, 1, 0).  Plain dicts act
+# as atomic get-or-compute maps under the interpreter lock; concurrent table
 # generation may recompute a value, which is benign.
 _BLOWUP_MEMO: dict = {
     (d, *m): 1
-    for d, base in ((0, (0, 0, -1)), (1, (0, 0, 0)), (1, (1, 0, 0)), (1, (1, 1, 0)))
+    for d, base in ((0, (0, 0, -1)), (1, (0, 0, 0)), (1, (1, 1, 0)))
     for m in set(itertools.permutations(base))
 }
 
@@ -63,12 +65,13 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
     reduced = _reduce(*key)
     if reduced is not None and reduced not in _BLOWUP_MEMO:
         # the fill of the module docstring, degree by degree, over the sorted
-        # triples that sum to at most the degree, each entry descending
+        # triples that sum to at most the degree, each entry descending to 2
+        # and then 0
         top = reduced[1]
         for e in range(1, reduced[0] + 1):
-            for m1 in range(min(top, e), -1, -1):
-                for m2 in range(min(m1, e - m1), -1, -1):
-                    for m3 in range(min(m2, e - m1 - m2), -1, -1):
+            for m1 in (*range(min(top, e), 1, -1), 0):
+                for m2 in (*range(min(m1, e - m1), 1, -1), 0):
+                    for m3 in (*range(min(m2, e - m1 - m2), 1, -1), 0):
                         m = (e, m1, m2, m3)
                         if m not in _BLOWUP_MEMO and _reduce(*m) == m:
                             _gw_blowup(*m)
@@ -78,18 +81,22 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
 def _reduce(d: int, a1: int, a2: int, a3: int):
     """None when an arithmetic test shows the count vanishes (a negative
     entry, d <= 0, a negative constraint count or genus, or two
-    multiplicities above d); else the class, sorted, and mapped once under
-    ``lattice.cremona`` if the multiplicities sum past d.  That automorphism
-    keeps the count, constraint count, genus, pair test and the order of
-    the sorted entries.  One step suffices: from s = sum a > d the image
-    sums to 3d - 2s, at most its degree 2d - s."""
+    multiplicities above d); else the class, sorted, mapped once under
+    ``lattice.cremona`` if the multiplicities sum past d, then with each
+    entry 1 made 0.  The Cremona map keeps the count, constraint count,
+    genus, pair test and the order of the sorted entries.  One step
+    suffices: from s = sum a > d the image sums to 3d - 2s, at most its
+    degree 2d - s.  A point of multiplicity 1 is one more point condition
+    (Goettsche-Pandharipande), so 1 -> 0 keeps the count too, but only
+    after the zero tests: (1; 1, 1, 1) vanishes, (1; 0, 0, 0) counts 1."""
     a1, a2, a3 = sorted((a1, a2, a3), reverse=True)
     if (d <= 0 or a3 < 0 or a1 + a2 > d or a1 + a2 + a3 >= 3 * d
             or a1 * (a1 - 1) + a2 * (a2 - 1) + a3 * (a3 - 1) > (d - 1) * (d - 2)):
         return None
     if a1 + a2 + a3 > d:
         d, a1, a2, a3 = cremona((d, a1, a2, a3))
-    return d, a1, a2, a3
+    # 1 -> 0 keeps the entries, all >= 0 here, sorted
+    return d, a1 - (a1 == 1), a2 - (a2 == 1), a3 - (a3 == 1)
 
 
 def _count(d: int, a1: int, a2: int, a3: int) -> int:

@@ -463,7 +463,12 @@ def _short(number) -> str:
 def clear_cache(cache_dir: Optional[str]) -> int:
     """Delete the ``.store`` files of ``cache_dir``, and nothing else there,
     without reading them, so a damaged cache can always be cleared; return
-    how many went (0 when ``cache_dir`` is None or not a directory)."""
+    how many went (0 when ``cache_dir`` is None or not a directory).
+
+    A live ``Store`` on ``cache_dir`` keeps its rows, and one it holds is not
+    written again: re-ingesting it reports it inserted and writes nothing, so
+    the next process does not see it.  Build a new ``Store`` after clearing.
+    The CLI runs one process per command and is not affected."""
     removed = 0
     if cache_dir and os.path.isdir(cache_dir):
         for name in sorted(os.listdir(cache_dir)):

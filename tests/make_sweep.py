@@ -53,6 +53,10 @@ COMMANDS = [
     # a threefold count whose members were never ingested: exit 2
     "w3 --family deg7 --class 5,0 --pairs 2",
     "ingest --surface qx2 --file rows.csv",
+    # complex counts whose recursion reaches classes with a multiplicity 1
+    "gw2 --surface p2x3 --class 13,6,1,1",
+    "gw2 --surface p2x2 --class 12,1,1",
+    "gw3 --family deg6 --class 9,8,7",
 ]
 
 # GW(qx2; 3, 3, 1, 2) = 620 with pair bound 4, GW(qx2; 2, 2, 1, 1) = 12

@@ -134,6 +134,8 @@ def test_fill_computes_what_the_box_scan_computes():
     assert runs[0] == runs[1]
     value, visits, keys = json.loads(runs[0])
     assert value == gw_blowup_oracle(13, 6, 4, 2) and len(visits) > 100 and len(keys) > len(visits)
+    # an entry 1 is reduced to 0, so no class with one is computed
+    assert not any(1 in m[1:] for m in visits)
 
 
 def test_oracle_equality():
@@ -147,6 +149,20 @@ def test_multiplicity_one_absorbs_into_points():
     # the degree-1 class with three assigned points is empty, so start at 2
     for d in range(2, 6):
         assert gw_blowup_p2(d, 1, 1, 1) == gw_p2(d)
+
+
+def test_multiplicity_one_is_a_point_condition():
+    # N(d; a1, a2, 1) = N(d; a1, a2, 0) against the oracle, which does not
+    # reduce, on every class with a point condition left for the third point
+    classes = nonzero = 0
+    for d in range(1, 13):
+        for a1 in range(d + 2):
+            for a2 in range(min(a1, 3 * d - 2 - a1) + 1):
+                want = gw_blowup_oracle(d, a1, a2, 0)
+                classes, nonzero = classes + 1, nonzero + (want != 0)
+                for perm in set(itertools.permutations((a1, a2, 1))):
+                    assert gw_blowup_p2(d, *perm) == want, (d, perm)
+    assert (classes, nonzero) == (549, 240)
 
 
 def _cremona(d, m):

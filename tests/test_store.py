@@ -351,6 +351,20 @@ def test_clear_cache_between_ingests(tmp_path):
     assert (cache / "p2.store").read_bytes() == b"W,4,0,240\nW,5,0,18264\n"
 
 
+def test_clear_cache_leaves_a_live_store_holding_its_rows(tmp_path):
+    # documented in clear_cache: a row the store still holds is not written
+    # again, so its re-ingest reports it inserted and writes nothing; a new
+    # Store writes it
+    cache, csv = tmp_path / "cache", _write(tmp_path / "a.csv", "space,c1,l,value\np2,3,0,8\n")
+    store = Store(cache_dir=str(cache), load_fixtures=False)
+    store.ingest_csv(csv, "p2")
+    assert store_mod.clear_cache(str(cache)) == 1
+    assert store.ingest_csv(csv, "p2").inserted == 1
+    assert os.listdir(cache) == [] and len(Store(cache_dir=str(cache), load_fixtures=False)) == 0
+    assert Store(cache_dir=str(cache), load_fixtures=False).ingest_csv(csv, "p2").inserted == 1
+    assert (cache / "p2.store").read_bytes() == b"W,3,0,8\n"
+
+
 def test_ingest_cache_file_holds_the_kept_rows_in_csv_order(tmp_path):
     csv = _write(tmp_path / "rows.csv",
                  "space,c1,l,value\n"
