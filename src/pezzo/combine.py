@@ -18,8 +18,8 @@ from operator import add
 
 from .errors import DataUnavailableError, DomainError
 from .gw import gw_surface
-from .lattice import DEG6, FAMILIES, ThreefoldFamily, fiber
-from .store import InvariantKey, Store, check_pairs, served_w, space_rank
+from .lattice import DEG6, FAMILIES, TWISTED, ThreefoldFamily, fiber
+from .store import InvariantKey, Store, check_pairs, served_w
 
 
 class WelschingerQuery(namedtuple("WelschingerQuery", "family_id cls pairs")):
@@ -55,10 +55,9 @@ def _as_tuple(family: ThreefoldFamily, d) -> tuple:
 def gw_threefold(family, d) -> int:
     """Complex count of rational curves in the threefold class d."""
     family = _family(family)
-    if family.id == "deg6t":
-        raise DomainError(
-            "complex counts are real-structure independent; query deg6 instead"
-        )
+    if family.id in TWISTED:
+        raise DomainError("complex counts are real-structure independent; "
+                          f"query {TWISTED[family.id]} instead")
     members = fiber(family, _as_tuple(family, d))
     # one member per monodromy pair, as in _closed_form: D_t and its image
     # D_{length-1-t} count the same, with D_t.S = length - 1 - 2t
@@ -99,8 +98,8 @@ def _unsupported(a: int, b: int, c: int) -> bool:
 
 def _member_key(family_id: str, member: tuple, pairs: int) -> InvariantKey:
     space = FAMILIES[family_id].member_space
-    # a qx2t member (a, a; alpha, beta) is keyed (a, alpha, beta)
-    return InvariantKey("W", space, member[len(member) - space_rank(space):], pairs)
+    # a twisted member (a, a; alpha, beta) is keyed (a, alpha, beta)
+    return InvariantKey("W", space, member[1:] if space in TWISTED else member, pairs)
 
 
 def w_threefold(query: WelschingerQuery, store: Store) -> int:

@@ -137,6 +137,10 @@ DEG6T = ThreefoldFamily(
 
 FAMILIES = {f.id: f for f in (DEG8, DEG7, DEG6, DEG6T)}
 
+# the twisted real structure changes only real counts: a twisted class (a, ...) has the
+# constraints and complex count of the untwisted class (a, a, ...), one entry longer
+TWISTED = {DEG6T.id: DEG6.id, DEG6T.member_space: DEG6.member_space}
+
 
 def pair(lattice: SurfaceLattice, d1: Sequence[int], d2: Sequence[int]) -> int:
     """Intersection number of two classes: d0 e0 - sum_{i>=1} di ei on the

@@ -6,8 +6,9 @@ are computed on demand; every other Welschinger value must come from CSV
 ingestion.  Values are cached in memory and, when a store is given a cache
 directory, in one append-only text file per space there.
 
-CSV grammar: a header line ``space,c1,...,cK,l,value`` followed by data rows
-with exactly rank+3 comma-separated fields; ``#`` lines are comments; UTF-8.
+CSV grammar: the header line ``csv_header(K)``, ``space,c1,...,cK,l,value``
+for a space of rank K, followed by data rows with exactly K+3 comma-separated
+fields; ``#`` lines are comments; UTF-8.
 """
 
 from __future__ import annotations
@@ -30,16 +31,16 @@ from .errors import (
     ParityError,
     WQueryError,
 )
-from .lattice import (FAMILIES, POLYGON_SURFACES, SURFACES, constraint_count, plane_to_quadric,
-                      quadric_coords, quadric_to_plane)
+from .lattice import (FAMILIES, POLYGON_SURFACES, SURFACES, TWISTED, constraint_count,
+                      plane_to_quadric, quadric_coords, quadric_to_plane)
 
-# member spaces that are not surfaces (qx2t): the surface classes (a, a; alpha, beta)
-# fixed by the real twist, keyed (a, alpha, beta), read through the diagonal cls[:1] + cls
-_DIAGONAL = {f.member_space: f.surface for f in FAMILIES.values()
-             if f.member_space not in SURFACES}
+# every space token's rank; a twisted class drops the repeated entry of its untwisted class
+_RANK = {token: space.rank for token, space in (*SURFACES.items(), *FAMILIES.items())}
+_RANK.update((twisted, _RANK[plain] - 1) for twisted, plain in TWISTED.items())
 
-# emission tokens for complex-count tables; ingest maps them to GW keys
-_GW_ALIAS = {"deg8-gw": "deg8", "deg7-gw": "deg7", "deg6-gw": "deg6"}
+# the CSV token of each untwisted family's complex counts; ingest stores its rows as GW keys
+GW_TOKEN = {family: family + "-gw" for family in FAMILIES if family not in TWISTED}
+_GW_ALIAS = {token: family for family, token in GW_TOKEN.items()}
 
 # the literals int() reads; int() is quadratic in the length, so a value token
 # past the default int/str digit limit (4300) is first bounded by its digit count
@@ -71,13 +72,15 @@ def _long_int(token: str) -> int:
 
 
 def space_rank(space: str) -> int:
-    if space in SURFACES:
-        return SURFACES[space].rank
-    if space in FAMILIES:
-        return FAMILIES[space].rank
-    if space in _DIAGONAL:
-        return _DIAGONAL[space].rank - 1
-    raise DomainError(f"unknown space token {space!r}")
+    try:
+        return _RANK[space]
+    except KeyError:
+        raise DomainError(f"unknown space token {space!r}") from None
+
+
+def csv_header(rank: int) -> str:
+    """The header line, without newline, of a CSV table of a space of this rank."""
+    return ",".join(["space", *(f"c{i}" for i in range(1, rank + 1)), "l", "value"])
 
 
 class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
@@ -103,7 +106,7 @@ class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
             # W keys only on the quadric side: there the twin is a monodromy image
             if kind == "GW" or lat.vanishing_cycle is not None:
                 cls = gw.canonical_class(lat, cls)
-        elif space in _DIAGONAL:
+        elif space == "qx2t":
             # the monodromy (``lattice.cremona``), restricted to the diagonal, swaps the two cuts
             a, alpha, beta = cls
             cls = min(cls, (a, beta, alpha))
@@ -120,14 +123,14 @@ class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
 
 def pair_bound(space: str, cls: tuple) -> int:
     """Most conjugate pairs a W value of the checked class can carry
-    (negative when none fits): k_D // 2 on a surface, a qx2t class
-    (a, alpha, beta) counted as (a, a; alpha, beta) on qx2; on a threefold,
+    (negative when none fits): k_D // 2 on a surface, a twisted class
+    counted as its untwisted class (``lattice.TWISTED``); on a threefold,
     k_d - 1 halved and rounded down, so one real point stays (ParityError
     when c1.d is odd)."""
+    if space in TWISTED:
+        space, cls = TWISTED[space], cls[:1] + cls
     if space in FAMILIES:
         return (FAMILIES[space].constraints(cls) - 1) // 2
-    if space in _DIAGONAL:
-        return constraint_count(_DIAGONAL[space], cls[:1] + cls) // 2
     return constraint_count(SURFACES[space], cls) // 2
 
 
@@ -144,13 +147,11 @@ def _check_bound(space: str, cls: tuple, pairs: int, bound: int) -> None:
 
 def gw_of(space: str, cls: tuple) -> int:
     """Complex count behind a key, used for computation and validation."""
+    if space in TWISTED:
+        space, cls = TWISTED[space], cls[:1] + cls
     if space in SURFACES:
         return gw.gw_surface(space, cls)
-    if space in _DIAGONAL:
-        return gw.gw_surface(_DIAGONAL[space], cls[:1] + cls)
     from . import combine  # deferred: combine imports this module
-    if space == "deg6t":
-        return combine.gw_threefold(FAMILIES["deg6"], cls[:1] + cls)
     return combine.gw_threefold(FAMILIES[space], cls)
 
 
@@ -214,12 +215,16 @@ class Store:
     ``--cache-dir``)."""
 
     def __init__(self, cache_dir: Optional[str] = None, load_fixtures: bool = True):
-        self.cache_dir = cache_dir
+        self.cache_dir = None  # until the fixtures are in: they are never written
         self._data: dict = {}
         self._lock = threading.RLock()
         # fixtures first: a cache row contradicting a checked fixture value is the error
         if load_fixtures:
-            self._load_bundled_fixtures()
+            data_dir = os.path.join(os.path.dirname(__file__), "data")
+            for name, space in (("welschinger_plane.csv", "p2"),
+                                ("welschinger_blown_quadric.csv", "qx1")):
+                self.ingest_csv(os.path.join(data_dir, name), space)
+        self.cache_dir = cache_dir
         if self.cache_dir:
             os.makedirs(self.cache_dir, exist_ok=True)
             self._load_cache()
@@ -265,14 +270,6 @@ class Store:
                 if self._data.setdefault(key, value) != value:  # no lock: not shared yet
                     raise CacheError(f"{path}:{lineno}: {key} is {_text(self._data[key])}, "
                                      f"not {_text(value)}")
-
-    def _load_bundled_fixtures(self):
-        data_dir = os.path.join(os.path.dirname(__file__), "data")
-        for name, space in (
-            ("welschinger_plane.csv", "p2"),
-            ("welschinger_blown_quadric.csv", "qx1"),
-        ):
-            self.ingest_csv(os.path.join(data_dir, name), space, persist=False)
 
     # -- core map -------------------------------------------------------------
 
@@ -333,7 +330,7 @@ class Store:
 
     # -- ingestion --------------------------------------------------------------
 
-    def ingest_csv(self, path, space_id: str, persist: bool = True) -> IngestReport:
+    def ingest_csv(self, path, space_id: str) -> IngestReport:
         """Load a CSV table of Welschinger (or emitted complex) values.
 
         Parse problems raise CsvParseError with the offending line number;
@@ -370,10 +367,9 @@ class Store:
                     continue
                 parts = [p.strip() for p in line.split(",")]
                 if header is None:
-                    expect = ["space"] + [f"c{i}" for i in range(1, rank + 1)] + ["l", "value"]
-                    if parts != expect:
-                        raise CsvParseError(lineno, f"bad header {line!r}, want {','.join(expect)}")
-                    header = parts
+                    header = csv_header(rank)
+                    if ",".join(parts) != header:
+                        raise CsvParseError(lineno, f"bad header {line!r}, want {header}")
                     continue
                 if len(parts) != rank + 3:
                     raise CsvParseError(lineno, f"expected {rank + 3} fields, got {len(parts)}")
@@ -403,7 +399,7 @@ class Store:
                 except (DomainError, ParityError, WQueryError) as exc:
                     report.rejected.append((lineno, str(exc)))
                     continue
-                if not self._insert(key, value, persist and self.cache_dir and append):
+                if not self._insert(key, value, self.cache_dir and append):
                     report.rejected.append(
                         (lineno, f"conflicts with stored value {_short(self.lookup(key))}")
                     )

@@ -19,7 +19,7 @@ from .combine import (
 from .errors import DataUnavailableError
 from .gw import gw_surface
 from .lattice import FAMILIES, fiber
-from .store import Store, pair_bound
+from .store import GW_TOKEN, Store, csv_header, pair_bound
 
 
 def _md_table(header, rows) -> str:
@@ -35,9 +35,9 @@ def gw_deg6_table(max_sum: int = 12, fmt: str = "md") -> tuple:
     family = FAMILIES["deg6"]
     classes = [d for d in deg6_classes(max_sum) if not gw_vanishes_a_priori(family, d)]
     if fmt == "csv":
-        lines = ["space,c1,c2,c3,l,value"]
+        lines = [csv_header(family.rank)]
         for d in classes:
-            lines.append("deg6-gw,%d,%d,%d,0,%d" % (*d, gw_threefold(family, d)))
+            lines.append("%s,%d,%d,%d,0,%d" % (GW_TOKEN[family.id], *d, gw_threefold(family, d)))
         return "\n".join(lines) + "\n", 0
     rows = []
     for d in classes:
@@ -69,9 +69,7 @@ def _w_grid(family_id: str, columns, labels, store, fmt):
                 cells[d, l] = "?"
     missing = list(cells.values()).count("?")
     if fmt == "csv":
-        if not columns:
-            return "\n", missing
-        lines = ["space," + ",".join(f"c{i + 1}" for i in range(len(columns[0]))) + ",l,value"]
+        lines = [csv_header(FAMILIES[family_id].rank)]
         lines += [family_id + "," + ",".join(map(str, d)) + f",{l},{val}"
                   for (d, l), val in cells.items() if val != "?"]
         return "\n".join(lines) + "\n", missing

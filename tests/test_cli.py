@@ -443,11 +443,19 @@ def test_twisted_cuts_are_not_real_points():
     assert hashlib.md5(text.encode()).hexdigest() == "39dadb7ee4c2d3f01bf147a7f2272b23"
 
 
-def test_table_empty_csv():
-    # a table with no column prints no header either
-    assert run(["table", "w-deg7", "--max-d", "0", "--format", "csv"]) == (0, "\n")
-    assert run(["table", "w-deg6", "--max-sum", "0", "--format", "csv"]) == (0, "\n")
-    assert run(["table", "w-deg6t", "--max-a", "0", "--format", "csv"]) == (0, "\n")
+def test_table_empty_csv(tmp_path):
+    # a table with no column prints its header alone, and that re-ingests
+    for argv, token, header in (
+        (["w-deg7", "--max-d", "0"], "deg7", "space,c1,c2,l,value\n"),
+        (["w-deg6", "--max-sum", "0"], "deg6", "space,c1,c2,c3,l,value\n"),
+        (["w-deg6t", "--max-a", "0"], "deg6t", "space,c1,c2,l,value\n"),
+        (["gw-deg6", "--max-sum", "0"], "deg6-gw", "space,c1,c2,c3,l,value\n"),
+    ):
+        assert run(["table", *argv, "--format", "csv"]) == (0, header)
+        path = tmp_path / f"{token}.csv"
+        path.write_text(header, encoding="utf-8")
+        assert run(["ingest", "--surface", token, "--file", str(path)]) \
+            == (0, "inserted 0 row(s)\n")
 
 
 def test_env_cache_dir(tmp_path, monkeypatch):

@@ -4,9 +4,11 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
+from operator import mul, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from golden import TABLE2
@@ -22,7 +24,6 @@ PLANE_COUNTS = {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
 
 def test_plane_recursion():
     # recompute the leading values directly from the quadratic recursion
-    from math import comb
     values = {1: 1}
     for d in range(2, 7):
         total = 0
@@ -211,6 +212,52 @@ def test_blowup_cremona_and_permutation_property(cls, perm):
     if image[0] <= 14:
         assert gw_blowup_oracle(*image) == want
     assert gw_blowup_p2(d, *m) == want
+
+
+def _dot(x, y):
+    # the intersection form of the thrice-blown plane in the (d; a1, a2, a3) basis
+    return x[0] * y[0] - sum(map(mul, x[1:], y[1:]))
+
+
+def _points(beta):
+    # n(beta) = 3d - sum(a) - 1, the number of point conditions
+    return 3 * beta[0] - sum(beta[1:]) - 1
+
+
+# H, the exceptional curves E_i and the lines H - E_i, as (d; a1, a2, a3)
+_DIVISORS = [(1, 0, 0, 0)] + [tuple(-(j == i) for j in range(4)) for i in (1, 2, 3)] \
+    + [tuple(int(j in (0, i)) for j in range(4)) for i in (1, 2, 3)]
+
+
+@st.composite
+def _wdvv_classes(draw):
+    d = draw(st.integers(1, 7))
+    beta = (d, *(draw(st.integers(0, d)) for _ in range(3)))
+    assume(_points(beta) >= 1)
+    return beta
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_wdvv_classes(), st.sampled_from(_DIVISORS), st.sampled_from(_DIVISORS))
+def test_blowup_obeys_wdvv(beta, D, E):
+    # associativity of the quantum product (Kontsevich-Manin, hep-th/9402147),
+    # paired against two divisors D, D': the recursion pairs against two line
+    # classes only, so pairs such as (H, E_i) give relations it never uses.
+    # The sum runs over ordered splittings beta = beta1 + beta2 into nonzero
+    # classes; the exceptional curves (0; -1 at i) count 1
+    first = _dot(D, D) * _dot(E, beta) ** 2 + _dot(E, E) * _dot(D, beta) ** 2 \
+        - 2 * _dot(D, E) * _dot(D, beta) * _dot(E, beta)
+    total = gw_blowup_p2(*beta) * first
+    d, *a = beta
+    for beta1 in itertools.product(range(d + 1), *(range(-1, x + 2) for x in a)):
+        beta2 = tuple(map(sub, beta, beta1))
+        if not any(beta1) or not any(beta2) or min(_points(beta1), _points(beta2)) < 0:
+            continue
+        total += gw_blowup_p2(*beta1) * gw_blowup_p2(*beta2) * _dot(beta1, beta2) \
+            * comb(_points(beta) - 1, _points(beta1)) \
+            * (_dot(D, beta1) ** 2 * _dot(E, beta2) ** 2
+               - _dot(D, beta1) * _dot(E, beta1) * _dot(D, beta2) * _dot(E, beta2))
+    assert total == 0, (beta, D, E)
 
 
 @st.composite

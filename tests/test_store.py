@@ -26,7 +26,8 @@ from pezzo.lattice import (
     FAMILIES, SURFACES, constraint_count, fiber, genus, monodromy, plane_to_quadric,
     quadric_coords, quadric_to_plane,
 )
-from pezzo.store import InvariantKey, Store, _w_l0_surface, gw_of, pair_bound, space_rank, w_conflict
+from pezzo.store import (GW_TOKEN, InvariantKey, Store, _w_l0_surface, csv_header, gw_of,
+                         pair_bound, space_rank, w_conflict)
 from pezzo.tables import gw_deg6_table
 
 
@@ -593,7 +594,7 @@ def test_bundled_fixture_rows_all_load():
         with open(path, encoding="utf-8") as fh:
             _, *rows = [line for line in fh.read().splitlines()
                         if line and not line.startswith("#")]
-        report = Store(load_fixtures=False).ingest_csv(path, rows[0].split(",")[0], persist=False)
+        report = Store(load_fixtures=False).ingest_csv(path, rows[0].split(",")[0])
         assert (report.inserted, report.rejected) == (len(rows), []), name
         total += len(rows)
     # and the store loads every one of those files
@@ -669,6 +670,31 @@ def test_ingest_rejects_pairs_the_key_rejects(tmp_path, bare_store, space, heade
     path = _write(tmp_path / "pairs.csv", f"{header}\n# note\n{row}\n")
     report = bare_store.ingest_csv(path, space)
     assert (report.inserted, report.rejected) == (0, [(3, reason)])
+
+
+# every token ingest reads, with its rank: the seven surfaces, the twisted member
+# space, the four families and the complex-count tokens of the untwisted families
+TOKEN_RANKS = {"p2": 1, "p2x1": 2, "p2x2": 3, "p2x3": 4, "q": 2, "qx1": 3, "qx2": 4, "qx2t": 3,
+               "deg8": 1, "deg7": 2, "deg6": 3, "deg6t": 2,
+               "deg8-gw": 1, "deg7-gw": 2, "deg6-gw": 3}
+
+
+@pytest.mark.parametrize("token, rank", sorted(TOKEN_RANKS.items()))
+def test_header_alone_ingests(tmp_path, token, rank):
+    if not token.endswith("-gw"):
+        assert space_rank(token) == rank
+    store = Store(cache_dir=str(tmp_path / "cache"), load_fixtures=False)
+    report = store.ingest_csv(_write(tmp_path / "header.csv", csv_header(rank) + "\n"), token)
+    assert (report.inserted, report.rejected, len(store)) == (0, [], 0)
+    assert os.listdir(tmp_path / "cache") == []
+
+
+def test_rank_table_covers_every_token():
+    spaces = {*SURFACES, *FAMILIES, *(f.member_space for f in FAMILIES.values())}
+    assert spaces | set(GW_TOKEN.values()) == set(TOKEN_RANKS)
+    assert csv_header(2) == "space,c1,c2,l,value"
+    with pytest.raises(DomainError, match="unknown space token 'deg6t-gw'"):
+        space_rank("deg6t-gw")
 
 
 @pytest.mark.parametrize("alias", ["deg6-gw", "deg7-gw", "deg8-gw"])
