@@ -94,18 +94,11 @@ def _dump_diagrams(surface: str, cls: tuple, out) -> None:
 
 
 def _run(args, out) -> int:
-    if args.command == "cache":
-        if args.action == "clear":
-            # before any Store: loading a damaged cache must not block clearing it
-            print(f"removed {clear_cache(args.cache_dir)} cache file(s)", file=out)
-            return 0
-        # count only what the cache files hold, not the bundled fixtures
-        store = Store(cache_dir=args.cache_dir, load_fixtures=False)
-        print(f"cache dir: {store.cache_dir or '(memory only)'}", file=out)
-        for space, count in sorted(store.spaces().items()):
-            print(f"{space}: {count} entries", file=out)
+    # the commands that read no stored value run before any Store: a damaged
+    # cache must not block clearing it, nor a complex count
+    if args.command == "cache" and args.action == "clear":
+        print(f"removed {clear_cache(args.cache_dir)} cache file(s)", file=out)
         return 0
-    store = Store(cache_dir=args.cache_dir)
     if args.command == "gw3":
         print(gw_threefold(args.family, _parse_class(args.cls)), file=out)
         return 0
@@ -114,6 +107,13 @@ def _run(args, out) -> int:
         if args.dump_diagrams:
             _dump_diagrams(args.surface, cls, out)
         print(gw_surface(args.surface, cls), file=out)
+        return 0
+    # cache info counts only what the cache files hold, not the bundled fixtures
+    store = Store(cache_dir=args.cache_dir, load_fixtures=args.command != "cache")
+    if args.command == "cache":
+        print(f"cache dir: {store.cache_dir or '(memory only)'}", file=out)
+        for space, count in sorted(store.spaces().items()):
+            print(f"{space}: {count} entries", file=out)
         return 0
     if args.command == "w3":
         query = WelschingerQuery(args.family, _parse_class(args.cls), args.pairs)

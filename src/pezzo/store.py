@@ -8,7 +8,7 @@ directory, in one append-only text file per space there.
 
 CSV grammar: the header line ``csv_header(K)``, ``space,c1,...,cK,l,value``
 for a space of rank K, followed by data rows with exactly K+3 comma-separated
-fields; ``#`` lines are comments; UTF-8.
+fields; ``#`` lines are comments; UTF-8, lines ending at LF, CRLF or a lone CR.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ def _text(number) -> str:
         return str(Decimal(number))
 
 
-def _row_text(key: InvariantKey, value: int) -> str:
-    fields = (*key.cls, key.pairs, value)
-    try:
-        return f"{key.kind},{','.join(map(str, fields))}\n"
-    except ValueError:  # past the int/str digit limit
-        return f"{key.kind},{','.join(map(_text, fields))}\n"
-
-
 def _long_int(token: str) -> int:
     from decimal import Decimal
     return int(Decimal(token)) if _INTEGER.fullmatch(token) else int(token)
@@ -81,6 +73,16 @@ def space_rank(space: str) -> int:
 def csv_header(rank: int) -> str:
     """The header line, without newline, of a CSV table of a space of this rank."""
     return ",".join(["space", *(f"c{i}" for i in range(1, rank + 1)), "l", "value"])
+
+
+def csv_row(first: str, cls: tuple, pairs: int, value) -> str:
+    """One row line, newline included: ``first,c1,...,cK,l,value``.  A CSV
+    row's ``first`` is its space token, a cache row's its key's kind."""
+    fields = (*cls, pairs, value)
+    try:
+        return f"{first},{','.join(map(str, fields))}\n"
+    except ValueError:  # past the int/str digit limit
+        return f"{first},{','.join(map(_text, fields))}\n"
 
 
 class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
@@ -197,15 +199,10 @@ def _cut_zero(key: InvariantKey) -> Optional[InvariantKey]:
     return InvariantKey("W", key.space, (a, b, *(0 if x == 1 else x for x in cuts)))
 
 
-class IngestReport:
+class IngestReport(namedtuple("IngestReport", "inserted rejected")):
     """What one ``ingest_csv`` did: rows inserted, and (lineno, reason) per row rejected."""
 
-    def __init__(self, inserted: int = 0, rejected: Optional[list] = None):
-        self.inserted = inserted
-        self.rejected = [] if rejected is None else rejected
-
-    def __repr__(self):
-        return f"IngestReport(inserted={self.inserted!r}, rejected={self.rejected!r})"
+    __slots__ = ()
 
 
 class Store:
@@ -288,7 +285,7 @@ class Store:
             if old is not None:
                 return old == value
             if append:
-                append(key.space, _row_text(key, value))
+                append(key.space, csv_row(key.kind, key.cls, key.pairs, value))
             self._data[key] = value
             return True
 
@@ -339,11 +336,13 @@ class Store:
         kind = "GW" if space_id in _GW_ALIAS else "W"
         space = _GW_ALIAS.get(space_id, space_id)
         rank = space_rank(space)
-        report = IngestReport()
+        inserted, rejected = 0, []
         with open(path, "rb") as fh:
-            data = fh.read()
+            # open()'s universal newlines, and no other line break; UTF-8 puts
+            # neither byte inside a multi-byte character
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
-            lines = data.decode("utf-8").splitlines()
+            lines = data.decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise CsvParseError(
@@ -383,7 +382,7 @@ class Store:
                 except ValueError as exc:
                     raise CsvParseError(lineno, str(exc)) from None
                 if row_space != space_id:
-                    report.rejected.append((lineno, f"space {row_space!r} != {space_id!r}"))
+                    rejected.append((lineno, f"space {row_space!r} != {space_id!r}"))
                     continue
                 try:
                     key = InvariantKey(kind, space, cls, pairs)
@@ -397,20 +396,20 @@ class Store:
                         total = totals[key.cls] = gw_of(space, key.cls)
                     value = self._validate_row(key, value, total)
                 except (DomainError, ParityError, WQueryError) as exc:
-                    report.rejected.append((lineno, str(exc)))
+                    rejected.append((lineno, str(exc)))
                     continue
                 if not self._insert(key, value, self.cache_dir and append):
-                    report.rejected.append(
+                    rejected.append(
                         (lineno, f"conflicts with stored value {_short(self.lookup(key))}")
                     )
                     continue
-                report.inserted += 1
+                inserted += 1
         finally:
             if handle is not None:
                 handle.close()
         if header is None:
             raise CsvParseError(1, "missing header line")
-        return report
+        return IngestReport(inserted, rejected)
 
     def _validate_row(self, key: InvariantKey, token: str, total: int) -> int:
         """The value of a row's integer token; DomainError when it is not

@@ -19,7 +19,7 @@ from .combine import (
 from .errors import DataUnavailableError
 from .gw import gw_surface
 from .lattice import FAMILIES, fiber
-from .store import GW_TOKEN, Store, csv_header, pair_bound
+from .store import GW_TOKEN, Store, csv_header, csv_row, pair_bound
 
 
 def _md_table(header, rows) -> str:
@@ -35,10 +35,8 @@ def gw_deg6_table(max_sum: int = 12, fmt: str = "md") -> tuple:
     family = FAMILIES["deg6"]
     classes = [d for d in deg6_classes(max_sum) if not gw_vanishes_a_priori(family, d)]
     if fmt == "csv":
-        lines = [csv_header(family.rank)]
-        for d in classes:
-            lines.append("%s,%d,%d,%d,0,%d" % (GW_TOKEN[family.id], *d, gw_threefold(family, d)))
-        return "\n".join(lines) + "\n", 0
+        rows = [csv_row(GW_TOKEN[family.id], d, 0, gw_threefold(family, d)) for d in classes]
+        return csv_header(family.rank) + "\n" + "".join(rows), 0
     rows = []
     for d in classes:
         label = "(%d,%d,%d)" % d
@@ -69,10 +67,8 @@ def _w_grid(family_id: str, columns, labels, store, fmt):
                 cells[d, l] = "?"
     missing = list(cells.values()).count("?")
     if fmt == "csv":
-        lines = [csv_header(FAMILIES[family_id].rank)]
-        lines += [family_id + "," + ",".join(map(str, d)) + f",{l},{val}"
-                  for (d, l), val in cells.items() if val != "?"]
-        return "\n".join(lines) + "\n", missing
+        rows = [csv_row(family_id, d, l, val) for (d, l), val in cells.items() if val != "?"]
+        return csv_header(FAMILIES[family_id].rank) + "\n" + "".join(rows), missing
     rows = [[str(l)] + [cells.get((d, l), "") for d in columns]
             for l in range(max((l for _, l in cells), default=-1) + 1)]
     return _md_table(["l"] + labels, rows), missing

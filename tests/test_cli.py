@@ -366,6 +366,22 @@ def test_cache_clear_skips_loading(tmp_path, capsys):
     assert run(["--cache-dir", str(cache), "cache", "info"])[0] == 0
 
 
+def test_complex_counts_ignore_a_damaged_cache(tmp_path, capsys):
+    # gw2 and gw3 read no stored value, so they build no Store; the commands
+    # that read the cache still name its bad row
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "p2.store").write_bytes(b"W,3,0,x\n")
+    base = ["--cache-dir", str(cache)]
+    assert run(base + ["gw2", "--surface", "p2", "--class", "3"]) == (0, "12\n")
+    assert run(base + ["gw3", "--family", "deg8", "--class", "1"]) == (0, "1\n")
+    assert capsys.readouterr().err == ""
+    for argv in (["w2", "--surface", "p2", "--class", "3"], ["cache", "info"]):
+        assert run(base + argv) == (1, "")
+        assert capsys.readouterr().err.startswith(f"error: {cache / 'p2.store'}:1: bad row ")
+    assert (cache / "p2.store").read_bytes() == b"W,3,0,x\n"
+
+
 def test_table_w_deg7_grid():
     code, text = run(["table", "w-deg7", "--max-d", "3"])
     assert code == 2  # rows with pairs need data beyond the fixture

@@ -15,7 +15,7 @@ from pezzo.combine import (
 )
 from pezzo.errors import DataUnavailableError, DomainError, WQueryError
 from pezzo.lattice import FAMILIES, fiber, pair
-from pezzo.store import Store
+from pezzo.store import InvariantKey, Store
 
 
 def test_gw_threefold_examples():
@@ -250,3 +250,11 @@ def test_deg7_observations_l0(store):
 
 def test_positivity_report_clean(store):
     assert positivity_report(9, store) == []
+
+
+def test_positivity_report_lists_a_negative_entry():
+    # a stored W(qx2; 1,0,0,1; l=0) = -1 keeps the parity and bound of its
+    # complex count 1, so it is served, and the deg6 class (1,0,0) sums to it
+    store = Store(load_fixtures=False)
+    store.insert(InvariantKey("W", "qx2", (1, 0, 0, 1), 0), -1)
+    assert positivity_report(6, store) == [((1, 0, 0), 0, -1)]

@@ -26,8 +26,8 @@ from pezzo.lattice import (
     FAMILIES, SURFACES, constraint_count, fiber, genus, monodromy, plane_to_quadric,
     quadric_coords, quadric_to_plane,
 )
-from pezzo.store import (GW_TOKEN, InvariantKey, Store, _w_l0_surface, csv_header, gw_of,
-                         pair_bound, space_rank, w_conflict)
+from pezzo.store import (GW_TOKEN, IngestReport, InvariantKey, Store, _w_l0_surface,
+                         csv_header, gw_of, pair_bound, space_rank, w_conflict)
 from pezzo.tables import gw_deg6_table
 
 
@@ -384,7 +384,8 @@ def test_ingest_cache_file_holds_the_kept_rows_in_csv_order(tmp_path):
     assert [lineno for lineno, _ in report.rejected] == [5, 6, 7, 8]
     kept = {InvariantKey("W", "p2", (d,), l): v for d, l, v in
             [(4, 0, 240), (3, 0, 8), (3, 1, 6), (5, 0, 18264)]}
-    text = "".join(store_mod._row_text(key, value) for key, value in kept.items())
+    text = "".join(store_mod.csv_row("W", key.cls, key.pairs, value)
+                   for key, value in kept.items())
     assert (cache / "p2.store").read_bytes() == text.encode()
     again = Store(cache_dir=str(cache), load_fixtures=False)
     assert {key: again.lookup(key) for key in kept} == kept and len(again) == len(kept)
@@ -486,6 +487,38 @@ def test_ingest_non_utf8_reports_line(tmp_path, bare_store):
     with pytest.raises(CsvParseError) as err:
         bare_store.ingest_csv(str(path), "p2")
     assert err.value.lineno == 3 and "0xff" in str(err.value)
+
+
+def test_ingest_ends_lines_as_open_does(tmp_path):
+    # lines end at \n, \r\n or a lone \r and nowhere else: a form feed or a
+    # U+2028 inside a row leaves it one row, and both paths count alike
+    path = tmp_path / "t.csv"
+    for data in ("space,c1,l,value\np2,3,0,8\x0c\np2,9,x,1\n".encode(),
+                 b"space,c1,l,value\rp2,3,0,8\rp2,\xff4,0,1\r"):
+        path.write_bytes(data)
+        with pytest.raises(CsvParseError) as err:
+            Store(load_fixtures=False).ingest_csv(str(path), "p2")
+        assert err.value.lineno == 3
+    path.write_bytes("space,c1,l,value\np2,3,\u20280,8\np2,3,0,10\n".encode())
+    report = Store(load_fixtures=False).ingest_csv(str(path), "p2")
+    assert report == (1, [(3, "conflicts with stored value 8")])
+    rows = "# c\nspace,c1,l,value\np2,3,0,8\n\np2,3,1,7\np2,4,0,240\n"
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(rows.replace("\n", end).encode())
+        store = Store(load_fixtures=False)
+        report = store.ingest_csv(str(path), "p2")
+        assert report.inserted == 2 and [n for n, _ in report.rejected] == [5], end
+        assert store.lookup(InvariantKey("W", "p2", (4,), 0)) == 240
+
+
+def test_ingest_report_is_a_named_tuple(tmp_path):
+    path = _write(tmp_path / "r.csv", "space,c1,l,value\np2,3,0,8\nq,3,0,8\n")
+    report = Store(load_fixtures=False).ingest_csv(path, "p2")
+    assert report == (1, [(3, "space 'q' != 'p2'")]) and type(report) is IngestReport
+    assert repr(report) == "IngestReport(inserted=1, rejected=[(3, \"space 'q' != 'p2'\")])"
+    assert report._fields == ("inserted", "rejected")
+    with pytest.raises(AttributeError):
+        report.inserted = 2
 
 
 with open(os.path.join(os.path.dirname(store_mod.__file__), "data", "welschinger_plane.csv"),
@@ -999,7 +1032,7 @@ def test_cache_rows_pass_the_digit_limit(tmp_path, monkeypatch):
         assert Store(cache_dir=c2).get_or_compute(key) == value
         assert Store(cache_dir=c2).lookup(key) == value
         store = Store(cache_dir=c3)
-        monkeypatch.setattr(store_mod, "_row_text", mock.Mock(side_effect=OSError("full")))
+        monkeypatch.setattr(store_mod, "csv_row", mock.Mock(side_effect=OSError("full")))
         with pytest.raises(OSError):
             store.get_or_compute(key)
         assert store.lookup(key) is None and os.listdir(c3) == []
