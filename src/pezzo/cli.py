@@ -14,7 +14,7 @@ from .combine import WelschingerQuery, gw_threefold, w_threefold
 from .errors import DataUnavailableError, PezzoError
 from .gw import gw_surface
 from .lattice import FAMILIES, SURFACES
-from .store import InvariantKey, Store, check_pairs, clear_cache, gw_of, served_w
+from .store import InvariantKey, Store, check_pairs, clear_cache, gw_of, ingest, served_w
 from .tables import TABLES
 
 
@@ -78,7 +78,8 @@ def _build_parser() -> _Parser:
     table.add_argument("--max-a", type=int, default=None)
     table.add_argument("--format", dest="fmt", choices=("md", "csv"), default="md")
 
-    ingest = sub.add_parser("ingest", help="load a CSV table of surface values")
+    ingest = sub.add_parser("ingest", help="load a CSV table of surface values; it reads "
+                                           "only the written space's fixture and cache file")
     ingest.add_argument("--surface", required=True)
     ingest.add_argument("--file", required=True)
 
@@ -94,8 +95,8 @@ def _dump_diagrams(surface: str, cls: tuple, out) -> None:
 
 
 def _run(args, out) -> int:
-    # the commands that read no stored value run before any Store: a damaged
-    # cache must not block clearing it, nor a complex count
+    # the commands that need no whole Store run before one: a damaged cache
+    # must not block clearing it, a complex count, nor an ingest into another space
     if args.command == "cache" and args.action == "clear":
         print(f"removed {clear_cache(args.cache_dir)} cache file(s)", file=out)
         return 0
@@ -107,6 +108,12 @@ def _run(args, out) -> int:
         if args.dump_diagrams:
             _dump_diagrams(args.surface, cls, out)
         print(gw_surface(args.surface, cls), file=out)
+        return 0
+    if args.command == "ingest":
+        report = ingest(args.cache_dir, args.file, args.surface)
+        print(f"inserted {report.inserted} row(s)", file=out)
+        for lineno, reason in report.rejected:
+            print(f"rejected line {lineno}: {reason}", file=sys.stderr)
         return 0
     # cache info counts only what the cache files hold, not the bundled fixtures
     store = Store(cache_dir=args.cache_dir, load_fixtures=args.command != "cache")
@@ -127,23 +134,17 @@ def _run(args, out) -> int:
             _dump_diagrams(args.surface, cls, out)
         print(served_w(store, key, gw_of(key.space, key.cls)), file=out)
         return 0
-    if args.command == "table":
-        # each table takes one bound flag; the other two are ignored
-        bound = {"w-deg7": "max_d", "w-deg6t": "max_a"}.get(args.kind, "max_sum")
-        kwargs = {"fmt": args.fmt}
-        if args.kind != "gw-deg6":  # the real tables read the store
-            kwargs["store"] = store
-        if getattr(args, bound) is not None:
-            kwargs[bound] = getattr(args, bound)
-        text, missing = TABLES[args.kind](**kwargs)
-        out.write(text)
-        return 2 if missing else 0
-    # ingest, the one command left: the parser admits no other
-    report = store.ingest_csv(args.file, args.surface)
-    print(f"inserted {report.inserted} row(s)", file=out)
-    for lineno, reason in report.rejected:
-        print(f"rejected line {lineno}: {reason}", file=sys.stderr)
-    return 0
+    # table, the one command left (the parser admits no other); each table
+    # takes one bound flag, the other two are ignored
+    bound = {"w-deg7": "max_d", "w-deg6t": "max_a"}.get(args.kind, "max_sum")
+    kwargs = {"fmt": args.fmt}
+    if args.kind != "gw-deg6":  # the real tables read the store
+        kwargs["store"] = store
+    if getattr(args, bound) is not None:
+        kwargs[bound] = getattr(args, bound)
+    text, missing = TABLES[args.kind](**kwargs)
+    out.write(text)
+    return 2 if missing else 0
 
 
 def main(argv=None, out=None) -> int:

@@ -42,6 +42,10 @@ _RANK.update((twisted, _RANK[plain] - 1) for twisted, plain in TWISTED.items())
 GW_TOKEN = {family: family + "-gw" for family in FAMILIES if family not in TWISTED}
 _GW_ALIAS = {token: family for family, token in GW_TOKEN.items()}
 
+# the bundled fixture of each space that has one: checked values, never written to a cache
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+_FIXTURES = {"p2": "welschinger_plane.csv", "qx1": "welschinger_blown_quadric.csv"}
+
 # the literals int() reads; int() is quadratic in the length, so a value token
 # past the default int/str digit limit (4300) is first bounded by its digit count
 _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
@@ -212,19 +216,14 @@ class Store:
     ``--cache-dir``)."""
 
     def __init__(self, cache_dir: Optional[str] = None, load_fixtures: bool = True):
-        self.cache_dir = None  # until the fixtures are in: they are never written
+        self.cache_dir = None  # until every space is in: no loaded row is written again
         self._data: dict = {}
         self._lock = threading.RLock()
-        # fixtures first: a cache row contradicting a checked fixture value is the error
-        if load_fixtures:
-            data_dir = os.path.join(os.path.dirname(__file__), "data")
-            for name, space in (("welschinger_plane.csv", "p2"),
-                                ("welschinger_blown_quadric.csv", "qx1")):
-                self.ingest_csv(os.path.join(data_dir, name), space)
+        if cache_dir:
+            os.makedirs(cache_dir, exist_ok=True)
+        for space in self._spaces(cache_dir, load_fixtures):
+            self._load_space(space, cache_dir, load_fixtures)
         self.cache_dir = cache_dir
-        if self.cache_dir:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            self._load_cache()
         # move everything allocated so far, the loaded store included, out
         # of the cyclic collector: each older-generation collection that
         # later allocations trigger would rescan it, and the one that lands
@@ -233,40 +232,55 @@ class Store:
 
     # -- persistence ----------------------------------------------------------
 
-    def _load_cache(self):
-        """Read every ``<space>.store`` file.  A last line with no newline is
-        an append cut short (``insert`` writes whole lines): it is dropped
-        from the file with a warning.  Any other bad row, or one that
-        contradicts a stored value, raises CacheError."""
-        for name in sorted(os.listdir(self.cache_dir)):
-            if not name.endswith(".store"):
-                continue
-            space = name[: -len(".store")]
-            path = os.path.join(self.cache_dir, name)
+    @staticmethod
+    def _spaces(cache_dir: Optional[str], fixtures: bool) -> list:
+        """Every space with a bundled fixture (if ``fixtures``) or a
+        ``<space>.store`` file, in the order of those file names."""
+        names = {f"{space}.store" for space in _FIXTURES} if fixtures else set()
+        if cache_dir:
+            names.update(name for name in os.listdir(cache_dir) if name.endswith(".store"))
+        return [name[: -len(".store")] for name in sorted(names)]
+
+    def _load_space(self, space: str, cache_dir: Optional[str], fixtures: bool):
+        """Load one space: its bundled fixture, if it has one and ``fixtures``
+        is set, then its ``<space>.store`` file under ``cache_dir``, if there
+        is one.  The fixture comes first: a cache row contradicting a checked
+        fixture value is the error.  A last line with no newline is an append
+        cut short (``insert`` writes whole lines): it is dropped from the file
+        with a warning.  Any other bad row, or one that contradicts a stored
+        value, raises CacheError."""
+        if fixtures and space in _FIXTURES:
+            self.ingest_csv(os.path.join(_DATA_DIR, _FIXTURES[space]), space)
+        if not cache_dir:
+            return
+        path = os.path.join(cache_dir, f"{space}.store")
+        try:
             with open(path, "rb") as fh:
                 data = fh.read()
-            *rows, tail = data.split(b"\n")
-            if tail:
-                print(f"warning: {path}:{len(rows) + 1}: dropping torn last line "
-                      f"{tail!r}", file=sys.stderr)
-                os.truncate(path, len(data) - len(tail))
-            for lineno, raw in enumerate(rows, start=1):
+        except FileNotFoundError:
+            return
+        *rows, tail = data.split(b"\n")
+        if tail:
+            print(f"warning: {path}:{len(rows) + 1}: dropping torn last line "
+                  f"{tail!r}", file=sys.stderr)
+            os.truncate(path, len(data) - len(tail))
+        for lineno, raw in enumerate(rows, start=1):
+            try:
+                line = raw.decode().strip()
+                if not line or line[0] == "#":
+                    continue
+                kind, *fields = line.split(",")
                 try:
-                    line = raw.decode().strip()
-                    if not line or line[0] == "#":
-                        continue
-                    kind, *fields = line.split(",")
-                    try:
-                        nums = list(map(int, fields))
-                    except ValueError:  # no integer, or one past the digit limit
-                        nums = [_long_int(x) for x in fields]
-                    key = InvariantKey(kind, space, tuple(nums[:-2]), nums[-2])
-                    value = nums[-1]
-                except (ValueError, IndexError) as exc:
-                    raise CacheError(f"{path}:{lineno}: bad row {raw!r}: {exc}") from None
-                if self._data.setdefault(key, value) != value:  # no lock: not shared yet
-                    raise CacheError(f"{path}:{lineno}: {key} is {_text(self._data[key])}, "
-                                     f"not {_text(value)}")
+                    nums = list(map(int, fields))
+                except ValueError:  # no integer, or one past the digit limit
+                    nums = [_long_int(x) for x in fields]
+                key = InvariantKey(kind, space, tuple(nums[:-2]), nums[-2])
+                value = nums[-1]
+            except (ValueError, IndexError) as exc:
+                raise CacheError(f"{path}:{lineno}: bad row {raw!r}: {exc}") from None
+            if self._data.setdefault(key, value) != value:  # no lock: not shared yet
+                raise CacheError(f"{path}:{lineno}: {key} is {_text(self._data[key])}, "
+                                 f"not {_text(value)}")
 
     # -- core map -------------------------------------------------------------
 
@@ -426,6 +440,30 @@ class Store:
         if reason:
             raise DomainError(reason)
         return value
+
+
+class _SpaceStore(Store):
+    """A store of one space: its fixture and its cache file, all that a row
+    ingested into that space can conflict with.  Only ``ingest`` builds one,
+    and no caller gets it."""
+
+    def __init__(self, cache_dir: Optional[str], space: str):
+        self._space = space
+        super().__init__(cache_dir)
+
+    def _spaces(self, cache_dir, fixtures) -> list:
+        return [self._space]
+
+
+def ingest(cache_dir: Optional[str], path, space_id: str) -> IngestReport:
+    """``Store(cache_dir).ingest_csv(path, space_id)``, loading only the
+    space written (a ``-gw`` token's family): a row conflicts only with rows
+    of its own space.  Same report, rows written and errors, at the cost of
+    that space's rows, not the whole cache's; a damaged cache file of
+    another space is not read, so it does not stop the ingest."""
+    space = _GW_ALIAS.get(space_id, space_id)
+    space_rank(space)  # an unknown token is the error, before anything loads
+    return _SpaceStore(cache_dir, space).ingest_csv(path, space_id)
 
 
 def w_conflict(value: int, total: int) -> Optional[str]:

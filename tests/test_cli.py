@@ -10,6 +10,7 @@ import pytest
 from pezzo import cli, floor
 from pezzo.cli import main
 from pezzo.gw import gw_surface
+from pezzo.store import Store
 from pezzo.tables import gw_deg6_table
 
 
@@ -86,8 +87,14 @@ def test_cache_row_cannot_override_a_fixture(tmp_path, capsys):
     (cache / "p2.store").write_text("W,4,3,42\n", encoding="utf-8")
     argv = ["--cache-dir", str(cache), "w2", "--surface", "p2", "--class", "4", "--pairs", "3"]
     assert run(argv) == (1, "")
-    err = capsys.readouterr().err
-    assert err == f"error: {cache / 'p2.store'}:1: (W p2 (4) l=3) is 40, not 42\n"
+    want = f"error: {cache / 'p2.store'}:1: (W p2 (4) l=3) is 40, not 42\n"
+    assert capsys.readouterr().err == want
+    # an ingest loads its space's fixture before that space's cache file too
+    csv = tmp_path / "p2.csv"
+    csv.write_text("space,c1,l,value\np2,3,0,8\n", encoding="utf-8")
+    argv = ["--cache-dir", str(cache), "ingest", "--surface", "p2", "--file", str(csv)]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == want
 
 
 def test_w3_rejects_stored_value_breaking_the_bound(tmp_path, capsys):
@@ -367,19 +374,82 @@ def test_cache_clear_skips_loading(tmp_path, capsys):
 
 
 def test_complex_counts_ignore_a_damaged_cache(tmp_path, capsys):
-    # gw2 and gw3 read no stored value, so they build no Store; the commands
-    # that read the cache still name its bad row
+    # gw2 and gw3 read no stored value, so they build no Store, and an ingest
+    # reads only its own space; the commands that read p2's file still name
+    # its bad row
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "p2.store").write_bytes(b"W,3,0,x\n")
     base = ["--cache-dir", str(cache)]
     assert run(base + ["gw2", "--surface", "p2", "--class", "3"]) == (0, "12\n")
     assert run(base + ["gw3", "--family", "deg8", "--class", "1"]) == (0, "1\n")
+    q_csv, p2_csv = tmp_path / "q.csv", tmp_path / "p2.csv"
+    q_csv.write_text("space,c1,c2,l,value\nq,2,2,0,12\nq,2,3,1,94\n", encoding="utf-8")
+    p2_csv.write_text("space,c1,l,value\np2,3,0,8\n", encoding="utf-8")
+    assert run(base + ["ingest", "--surface", "q", "--file", str(q_csv)]) == (
+        0, "inserted 2 row(s)\n")
     assert capsys.readouterr().err == ""
-    for argv in (["w2", "--surface", "p2", "--class", "3"], ["cache", "info"]):
+    for argv in (["w2", "--surface", "p2", "--class", "3"], ["cache", "info"],
+                 ["ingest", "--surface", "p2", "--file", str(p2_csv)]):
         assert run(base + argv) == (1, "")
         assert capsys.readouterr().err.startswith(f"error: {cache / 'p2.store'}:1: bad row ")
     assert (cache / "p2.store").read_bytes() == b"W,3,0,x\n"
+
+
+# one cache, one ingest per space: each CSV plants what an ingest must reject
+_INGESTS = [
+    ("p2x3", "space,c1,c2,c3,c4,l,value\n"
+             "p2x3,4,1,1,1,0,620\n"
+             "p2x3,3,1,1,0,1,10\n"
+             "p2x3,4,1,1,1,0,618\n"      # conflicts with line 2
+             "q,4,1,1,1,0,620\n"         # another space's row
+             "p2x3,5,2,1,1,2,18130\n"),
+    ("qx2t", "space,c1,c2,c3,l,value\n"
+             "qx2t,3,1,2,1,100\n"
+             "qx2t,3,2,1,1,100\n"        # the cuts swapped: the same key, kept once
+             "qx2t,3,2,1,2,98\n"
+             "qx2t,3,1,2,2,96\n"         # swapped again: conflicts with line 4
+             "qx2t,2,1,0,0,12\n"),
+    ("q", "space,c1,c2,l,value\nq,2,2,0,12\nq,2,3,1,94\nq,1,2,0,3\n"),  # |3| > GW = 1
+    ("qx1", "space,c1,c2,c3,l,value\n"
+            "qx1,2,2,1,0,12\n"
+            "qx1,2,3,2,1,4\n"            # the bundled fixture says 6
+            "qx1,2,3,2,0,8\n"),          # as the fixture says
+    ("qx2", "space,c1,c2,c3,c4,l,value\n"
+            "qx2,3,3,1,2,0,620\n"
+            "qx2,3,3,2,1,0,618\n"        # its monodromy twin: a conflict
+            "qx2,2,2,1,1,1,10\n"),
+    ("deg6-gw", gw_deg6_table(max_sum=6, fmt="csv")[0] + "deg6-gw,3,3,3,0,727\n"),
+]
+
+
+def test_ingest_loads_its_space_to_the_same_effect(tmp_path, capsys):
+    # pezzo ingest loads only the space it writes; a store that loads every
+    # space gives the same report and writes the same cache files
+    cli_cache, lib_cache = tmp_path / "cli", tmp_path / "lib"
+    cli_said, lib_said = [], []
+    for i, (token, text) in enumerate(_INGESTS):
+        csv = tmp_path / f"{i}.csv"
+        csv.write_text(text, encoding="utf-8")
+        argv = ["--cache-dir", str(cli_cache), "ingest", "--surface", token, "--file", str(csv)]
+        cli_said.append((*run(argv), capsys.readouterr().err))
+        report = Store(cache_dir=str(lib_cache)).ingest_csv(str(csv), token)
+        lib_said.append((0, f"inserted {report.inserted} row(s)\n", "".join(
+            f"rejected line {lineno}: {reason}\n" for lineno, reason in report.rejected)))
+    assert cli_said == lib_said
+    rejected = [[line.split(":")[0] for line in err.splitlines()] for _, _, err in cli_said]
+    assert rejected == [["rejected line 4", "rejected line 5"], ["rejected line 5"],
+                        ["rejected line 4"], ["rejected line 3"], ["rejected line 3"],
+                        [f"rejected line {len(_INGESTS[-1][1].splitlines())}"]]
+    names = sorted(os.listdir(lib_cache))
+    assert names == ["deg6.store", "p2x3.store", "q.store", "qx1.store", "qx2.store",
+                     "qx2t.store"]
+    assert sorted(os.listdir(cli_cache)) == names
+    for name in names:
+        assert (cli_cache / name).read_bytes() == (lib_cache / name).read_bytes(), name
+    argv = ["--cache-dir", str(cli_cache), "ingest", "--surface", "foo", "--file", str(csv)]
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == "error: unknown space token 'foo'\n"
 
 
 def test_table_w_deg7_grid():

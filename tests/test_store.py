@@ -328,6 +328,38 @@ def test_failed_write_through_the_held_handle(tmp_path, monkeypatch, capsys, chu
     assert len(handles) == 2 and handles[1].fh.closed
 
 
+def test_ingest_opens_only_its_csv_and_its_space_file(tmp_path, monkeypatch, capsys):
+    # an ingest reads the one space it writes, so its cost does not grow with
+    # the rest of the cache: no directory listing, no other file opened
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name, row in (("p2.store", "W,3,0,8\n"), ("p2x3.store", "W,4,1,1,1,0,620\n"),
+                      ("qx1.store", "W,2,2,1,0,12\n"), ("q.store", "W,2,2,0,12\n")):
+        (cache / name).write_text(row, encoding="utf-8")
+    csv = _write(tmp_path / "rows.csv", "space,c1,c2,l,value\nq,2,3,1,94\nq,2,2,0,10\n")
+    opened, listed = [], []
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    def spy_listdir(path="."):
+        listed.append(str(path))
+        return listdir(path)
+
+    listdir = os.listdir
+    monkeypatch.setattr(store_mod, "open", spy_open, raising=False)
+    monkeypatch.setattr(store_mod.os, "listdir", spy_listdir)
+    argv = ["--cache-dir", str(cache), "ingest", "--surface", "q", "--file", csv]
+    assert cli.main(argv, out=io.StringIO()) == 0
+    # the q.store row is loaded: the CSV's second row conflicts with it
+    assert capsys.readouterr().err == "rejected line 3: conflicts with stored value 12\n"
+    assert (set(opened), listed) == ({csv, str(cache / "q.store")}, [])
+    # the spies see a whole load: every other command reads the directory
+    assert cli.main(["--cache-dir", str(cache), "cache", "info"], out=io.StringIO()) == 0
+    assert listed == [str(cache)] and str(cache / "p2x3.store") in opened
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_parse_error_keeps_earlier_rows_and_no_descriptor(tmp_path):
     csv = _write(tmp_path / "rows.csv",
