@@ -19,7 +19,7 @@ from operator import add
 from .errors import DataUnavailableError, DomainError
 from .gw import gw_surface
 from .lattice import DEG6, FAMILIES, TWISTED, ThreefoldFamily, fiber
-from .store import InvariantKey, Store, check_pairs, served_w
+from .store import InvariantKey, Store, _pair_count, check_pairs, served_w
 
 
 class WelschingerQuery(namedtuple("WelschingerQuery", "family_id cls pairs")):
@@ -31,6 +31,7 @@ class WelschingerQuery(namedtuple("WelschingerQuery", "family_id cls pairs")):
     def __new__(klass, family_id, cls, pairs: int):
         family = _family(family_id)
         cls = _as_tuple(family, cls)
+        pairs = _pair_count(family.id, pairs)
         check_pairs(family.id, cls, pairs)
         return super().__new__(klass, family.id, cls, pairs)
 

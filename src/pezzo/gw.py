@@ -13,9 +13,11 @@ checked against the floor diagrams of ``pezzo.floor``, the classical plane
 recursion and the unreduced recursion over every splitting; the test suite
 keeps the last two as oracles (``tests/oracles.py``).
 
-``gw_surface`` is a change of basis (``quadric_coords``, ``quadric_to_plane``)
-and keeps no cache: the one memo is ``_BLOWUP_MEMO``, the recursion's own
-table, keyed on the reduced class.  A miss at the public entry first fills,
+``gw_surface`` checks its class once and changes basis through the lattice
+kernels (``quadric_coords``, ``quadric_to_plane``); it keeps no cache: the
+one memo is ``_BLOWUP_MEMO``, the recursion's own table, keyed on the reduced
+class and holding each class asked for, a vanishing one as 0, so a repeated
+ask is one lookup.  A miss at the public entry first fills,
 bottom-up, every reduced class of degree 1..d whose multiplicities are at
 most the largest one of the class asked for.  It visits only the candidates
 m1 >= m2 >= m3 >= 0 with no entry 1 and m1 + m2 + m3 <= e at each degree e,
@@ -32,17 +34,18 @@ import itertools
 from typing import Sequence
 
 from .errors import DomainError
-from .lattice import (QX2, SURFACES, SurfaceLattice, cremona, monodromy, quadric_coords,
-                      quadric_to_plane)
+from .lattice import (P2X3, QX2, SURFACES, SurfaceLattice, _monodromy, _quadric_coords,
+                      _quadric_to_plane, cremona, monodromy)
 
 # -- blown-up plane ----------------------------------------------------------
 
 # (d, a1, a2, a3) -> count.  A computed value is stored under every
 # permutation of its reduced class (``_reduce``) and under each key asked
-# for, so a lookup needs no sort.  The seeds are the one reduced class
-# with fewer than three constraints, (1; 0, 0, 0), which (1; 1, 0, 0)
-# reduces to, and the classes that the zero tests of _reduce would wrongly
-# reject: the exceptional curves and the lines (1; 1, 1, 0).  Plain dicts act
+# for, 0 under a vanishing one, so a repeated lookup needs no sort and no
+# zero test.  The seeds are the one reduced class with fewer than three
+# constraints, (1; 0, 0, 0), which (1; 1, 0, 0) reduces to, and the classes
+# that the zero tests of _reduce would wrongly reject: the exceptional
+# curves and the lines (1; 1, 1, 0).  Plain dicts act
 # as atomic get-or-compute maps under the interpreter lock; concurrent table
 # generation may recompute a value, which is benign.
 _BLOWUP_MEMO: dict = {
@@ -56,9 +59,17 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
     """Rational curves of degree d with multiplicities (a1, a2, a3) at three
     general points, through the complementary number of generic points.
 
-    Returns 0 for classes outside the supported shape, never raises.
+    Returns 0 for classes outside the supported shape, never raises on
+    integers; DomainError on a non-integral entry.
     """
-    key = (int(d), int(a1), int(a2), int(a3))
+    return _blowup(*P2X3.check((d, a1, a2, a3)))
+
+
+def _blowup(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
+    # gw_blowup_p2 on ints, memo first.  A miss fills unless the reduced class
+    # is stored, as it always is for a half of a class being computed: the
+    # fill that class belongs to stored it
+    key = (d, a1, a2, a3)
     value = _BLOWUP_MEMO.get(key)
     if value is not None:
         return value
@@ -75,7 +86,8 @@ def gw_blowup_p2(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
                         m = (e, m1, m2, m3)
                         if m not in _BLOWUP_MEMO and _reduce(*m) == m:
                             _gw_blowup(*m)
-    return _count(*key)
+    value = _BLOWUP_MEMO[key] = 0 if reduced is None else _BLOWUP_MEMO[reduced]
+    return value
 
 
 def _reduce(d: int, a1: int, a2: int, a3: int):
@@ -97,20 +109,6 @@ def _reduce(d: int, a1: int, a2: int, a3: int):
         d, a1, a2, a3 = cremona((d, a1, a2, a3))
     # 1 -> 0 keeps the entries, all >= 0 here, sorted
     return d, a1 - (a1 == 1), a2 - (a2 == 1), a3 - (a3 == 1)
-
-
-def _count(d: int, a1: int, a2: int, a3: int) -> int:
-    # gw_blowup_p2 on ints, memo first, once the fill has stored the
-    # reduced class: the public entry's own, or, for a half of a class being
-    # computed, the fill that class belongs to
-    key = (d, a1, a2, a3)
-    value = _BLOWUP_MEMO.get(key)
-    if value is None:
-        reduced = _reduce(d, a1, a2, a3)
-        if reduced is None:
-            return 0
-        value = _BLOWUP_MEMO[key] = _BLOWUP_MEMO[reduced]
-    return value
 
 
 def _gw_blowup(d: int, a1: int, a2: int, a3: int) -> int:
@@ -158,10 +156,10 @@ def _gw_blowup(d: int, a1: int, a2: int, a3: int) -> int:
                         continue
                     n1 = _BLOWUP_MEMO.get((d1, b1, b2, b3))
                     if n1 is None:
-                        n1 = _count(d1, b1, b2, b3)
+                        n1 = _blowup(d1, b1, b2, b3)
                     n2 = _BLOWUP_MEMO.get((d2, c1, c2, c3))
                     if n2 is None:
-                        n2 = _count(d2, c1, c2, c3)
+                        n2 = _blowup(d2, c1, c2, c3)
                     total += n1 * n2 * (d1 * d2 - b1 * c1 - b2 * c2 - b3 * c3) * coeff
     for m in itertools.permutations((a1, a2, a3)):
         _BLOWUP_MEMO[(d, *m)] = total
@@ -174,9 +172,16 @@ def canonical_class(lattice: SurfaceLattice, d: Sequence[int]) -> tuple:
     """Canonical representative: minimal under monodromy, and under
     permutation of the blow-up multiplicities on the plane side."""
     d = lattice.check(d)
+    if lattice.side == "q" and lattice.vanishing_cycle is None:
+        monodromy(lattice, d)  # its UnsupportedLatticeError
+    return _canonical_class(lattice, d)
+
+
+def _canonical_class(lattice: SurfaceLattice, d: tuple) -> tuple:
+    # of a checked class
     if lattice.side == "p2":  # the orbit's point permutations (``lattice.cremona``)
         return (d[0],) + tuple(sorted(d[1:], reverse=True))
-    return min(d, monodromy(lattice, d))  # ``lattice.cremona`` on qx2, a point swap on q, qx1
+    return min(d, _monodromy(lattice, d))  # ``lattice.cremona`` on qx2, a point swap on q, qx1
 
 
 def gw_surface(lattice, d: Sequence[int]) -> int:
@@ -185,7 +190,7 @@ def gw_surface(lattice, d: Sequence[int]) -> int:
     if surface_id not in SURFACES:
         raise DomainError(f"unsupported surface {surface_id!r}")
     lattice = SURFACES[surface_id]
+    d = lattice.check(d)
     if lattice.side == "p2":
-        return gw_blowup_p2(*lattice.check(d))
-    # quadric_to_plane checks a qx2 class itself
-    return gw_blowup_p2(*quadric_to_plane(d if lattice is QX2 else quadric_coords(lattice, d)))
+        return _blowup(*d)
+    return _blowup(*_quadric_to_plane(d if lattice is QX2 else _quadric_coords(d)))

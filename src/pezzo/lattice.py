@@ -12,13 +12,18 @@ Class vectors are plain tuples of ints.  Two coordinate families are used:
 Exceptional multiplicities are stored positively: the tuple entry ``alpha``
 stands for the coefficient of ``-E1``.  ``pair`` carries the corresponding
 signs, so ``side`` and ``rank`` fix every form of a surface lattice.
+
+Each public function checks its classes (``check``: a tuple of integers of
+the lattice's rank) and hands them to a ``_`` kernel, which takes checked
+tuples and checks nothing; a caller that has checked a class calls the
+kernel, so a fiber member or a store key is checked once, where it enters.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, index, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ParityError, RankMismatchError, UnsupportedLatticeError
@@ -32,7 +37,10 @@ class _Ranked:
     __slots__ = ()
 
     def check(self, d: Sequence[int]) -> ClassVector:
-        d = tuple(map(int, d))
+        try:
+            d = tuple(map(index, d))  # an int, bool or int-like entry; never truncated
+        except TypeError:
+            raise DomainError(f"{self.id}: class {d!r} is not a vector of integers") from None
         if len(d) != self.rank:
             raise RankMismatchError(
                 f"{self.id}: expected rank {self.rank}, got vector of length {len(d)}"
@@ -145,8 +153,10 @@ TWISTED = {DEG6T.id: DEG6.id, DEG6T.member_space: DEG6.member_space}
 def pair(lattice: SurfaceLattice, d1: Sequence[int], d2: Sequence[int]) -> int:
     """Intersection number of two classes: d0 e0 - sum_{i>=1} di ei on the
     plane side, d0 e1 + d1 e0 - sum_{i>=2} di ei on the quadric side."""
-    d1 = lattice.check(d1)
-    d2 = lattice.check(d2)
+    return _pair(lattice, lattice.check(d1), lattice.check(d2))
+
+
+def _pair(lattice: SurfaceLattice, d1: ClassVector, d2: ClassVector) -> int:
     if lattice.side == "p2":
         return d1[0] * d2[0] - sum(map(mul, d1[1:], d2[1:]))
     return d1[0] * d2[1] + d1[1] * d2[0] - sum(map(mul, d1[2:], d2[2:]))
@@ -158,7 +168,7 @@ def constraint_count(space, d: Sequence[int]) -> int:
     Surfaces: c1.D - 1.  Threefolds: c1.d / 2 (raises ParityError if odd).
     """
     if isinstance(space, SurfaceLattice):
-        return pair(space, space.anticanonical, d) - 1  # pair checks d
+        return _pair(space, space.anticanonical, space.check(d)) - 1
     if isinstance(space, ThreefoldFamily):
         return space.constraints(space.check(d))
     raise DomainError(f"unsupported space {space!r}")
@@ -168,17 +178,21 @@ def genus(lattice: SurfaceLattice, d: Sequence[int]) -> int:
     """Arithmetic genus (K.D + D^2 + 2) / 2 of the class.  K.D + D^2 is even:
     d(d - 3), or 2(ab - a - b) on the quadric side, less sum a_i(a_i - 1)."""
     d = lattice.check(d)
-    return (pair(lattice, lattice.canonical, d) + pair(lattice, d, d) + 2) // 2
+    return (_pair(lattice, lattice.canonical, d) + _pair(lattice, d, d) + 2) // 2
 
 
 def monodromy(lattice: SurfaceLattice, d: Sequence[int]) -> ClassVector:
     """Reflection T(D) = D + (D.S) S in the vanishing cycle; an involution."""
     if lattice.vanishing_cycle is None:
         raise UnsupportedLatticeError(f"{lattice.id} carries no vanishing cycle")
-    d = lattice.check(d)
+    return _monodromy(lattice, lattice.check(d))
+
+
+def _monodromy(lattice: SurfaceLattice, d: ClassVector) -> ClassVector:
+    # of a lattice with a vanishing cycle
     s = lattice.vanishing_cycle
-    ds = pair(lattice, d, s)
-    return tuple(x + ds * y for x, y in zip(d, s))
+    ds = _pair(lattice, d, s)
+    return tuple([x + ds * y for x, y in zip(d, s)])
 
 
 def push_forward(family: ThreefoldFamily, d: Sequence[int]) -> ClassVector:
@@ -204,7 +218,10 @@ def quadric_coords(lattice: SurfaceLattice, d: Sequence[int]) -> ClassVector:
     cuts, ``(a, b) -> (a, b; 0, 0)`` and ``(a, b; k) -> (a, b; 0, k)``."""
     if lattice.side != "q":
         raise DomainError(f"{lattice.id} is not a quadric-side surface")
-    d = lattice.check(d)
+    return _quadric_coords(lattice.check(d))
+
+
+def _quadric_coords(d: ClassVector) -> ClassVector:
     return d[:2] + (0,) * (QX2.rank - len(d)) + d[2:]
 
 
@@ -212,7 +229,11 @@ def quadric_to_plane(d: Sequence[int]) -> ClassVector:
     """Rewrite a class on the twice-blown quadric in the thrice-blown plane
     basis, (a, b; alpha, beta) -> (a + b - alpha; a - alpha, b - alpha, beta).
     Injective; preserves intersection numbers, genus and constraint counts."""
-    a, b, alpha, beta = QX2.check(d)
+    return _quadric_to_plane(QX2.check(d))
+
+
+def _quadric_to_plane(d: ClassVector) -> ClassVector:
+    a, b, alpha, beta = d
     return (a + b - alpha, a - alpha, b - alpha, beta)
 
 

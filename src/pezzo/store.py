@@ -19,6 +19,7 @@ import re
 import sys
 import threading
 from collections import Counter, namedtuple
+from operator import index
 from typing import Optional
 
 from . import gw
@@ -89,6 +90,14 @@ def csv_row(first: str, cls: tuple, pairs: int, value) -> str:
         return f"{first},{','.join(map(_text, fields))}\n"
 
 
+def _pair_count(space: str, pairs) -> int:
+    """A count of conjugate pairs as an int; DomainError when it is not an integer."""
+    try:
+        return index(pairs)
+    except TypeError:
+        raise DomainError(f"space {space}: pairs {pairs!r} is not an integer") from None
+
+
 class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
     """A checked key, kind "GW" or "W", holding the canonical class: monodromy
     twins, qx2t cut swaps, deg6 and p2-side GW multiplicity permutations give
@@ -99,6 +108,7 @@ class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
     def __new__(klass, kind: str, space: str, cls: tuple, pairs: int = 0):
         if kind not in ("GW", "W"):
             raise DomainError(f"bad kind {kind!r}")
+        pairs = _pair_count(space, pairs)
         if kind == "GW" and pairs != 0:
             raise DomainError("GW keys carry pairs = 0")
         if pairs < 0:
@@ -106,12 +116,15 @@ class InvariantKey(namedtuple("InvariantKey", "kind space cls pairs")):
         rank = space_rank(space)
         if len(cls) != rank:
             raise DomainError(f"space {space}: class {cls} has length {len(cls)}, want {rank}")
-        cls = tuple(map(int, cls))
+        try:
+            cls = tuple(map(index, cls))
+        except TypeError:
+            raise DomainError(f"space {space}: class {cls} is not a vector of integers") from None
         if space in SURFACES:
             lat = SURFACES[space]
             # W keys only on the quadric side: there the twin is a monodromy image
             if kind == "GW" or lat.vanishing_cycle is not None:
-                cls = gw.canonical_class(lat, cls)
+                cls = gw._canonical_class(lat, cls)
         elif space == "qx2t":
             # the monodromy (``lattice.cremona``), restricted to the diagonal, swaps the two cuts
             a, alpha, beta = cls
@@ -290,8 +303,11 @@ class Store:
         return self._insert(key, value, persist and self.cache_dir and self._append)
 
     def _append(self, space: str, row: str):  # one open per row: get_or_compute's rows
-        with open(os.path.join(self.cache_dir, f"{space}.store"), "a", encoding="utf-8") as fh:
-            fh.write(row)
+        fh = _open_rows(self.cache_dir, space)
+        try:
+            _write_row(fh, row)
+        finally:
+            fh.close()
 
     def _insert(self, key: InvariantKey, value: int, append) -> bool:
         with self._lock:
@@ -369,10 +385,8 @@ class Store:
         def append(_space, row):  # one handle per call, opened by its first kept row
             nonlocal handle
             if handle is None:
-                handle = open(os.path.join(self.cache_dir, f"{space}.store"), "ab", buffering=0)
-            rest = row.encode()
-            while rest:  # a short write goes on where it stopped, as a buffered flush does
-                rest = rest[handle.write(rest):]
+                handle = _open_rows(self.cache_dir, space)
+            _write_row(handle, row)
         try:
             for lineno, raw in enumerate(lines, start=1):
                 line = raw.strip()
@@ -440,6 +454,18 @@ class Store:
         if reason:
             raise DomainError(reason)
         return value
+
+
+# the one writer of cache rows, ``insert``'s one open per row and ``ingest_csv``'s
+# one handle per call alike: binary and unbuffered, so a row is on disk once written
+def _open_rows(cache_dir: str, space: str):
+    return open(os.path.join(cache_dir, f"{space}.store"), "ab", buffering=0)
+
+
+def _write_row(fh, row: str) -> None:
+    rest = row.encode()
+    while rest:  # a short write goes on where it stopped, as a buffered flush does
+        rest = rest[fh.write(rest):]
 
 
 class _SpaceStore(Store):

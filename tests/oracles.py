@@ -304,7 +304,7 @@ def gw_blowup_box_scan(d: int, a1: int = 0, a2: int = 0, a3: int = 0) -> int:
             for m in itertools.combinations_with_replacement(range(min(reduced[1], e), -1, -1), 3):
                 if (e, *m) not in gw._BLOWUP_MEMO and gw._reduce(e, *m) == (e, *m):
                     gw._gw_blowup(e, *m)
-    return gw._count(*key)
+    return gw._blowup(*key)
 
 
 def _binom(n: int, k: int) -> int:

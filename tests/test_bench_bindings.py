@@ -3,7 +3,9 @@ name.  Installing it fails once one of those names is gone from ``src/``,
 so this test catches a refactor that would break traced bench runs.  A
 traced floor count must also show the spans and the diagram count that the
 real-tables bench requires of every traced run, and a traced complex table
-the spans the complex-sweep bench requires.  ``bench/make_pins.py``,
+the spans the complex-sweep bench requires.  Two traced commands must make
+the calls pinned here, layer by layer, so a call that moves below a traced
+function shows as a changed count.  ``bench/make_pins.py``,
 run on a copy of ``bench/``, must rebuild ``bench/pins.json`` byte for byte."""
 
 import json
@@ -11,6 +13,8 @@ import os
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -51,37 +55,64 @@ def test_traced_floor_count_reports_its_diagrams():
 
 
 _TRACED_TABLE = """
-import io, json, layers
+import collections, io, json, sys, layers
 from pezzo import cli
 tracer = layers.Tracer("t")
 layers.install(tracer)
-code = cli.main(["table", "gw-deg6", "--max-sum", "4"], out=io.StringIO())
+code = cli.main(sys.argv[1:], out=io.StringIO())
 spans = tracer.spans
 # as run.py counts them: no span inside the fixture load of store.init
 under = []
 for name, _start, _end, parent, *_ in spans:
     under.append(parent >= 0 and (spans[parent][0] == "store.init" or under[parent]))
+kept = [s for s, u in zip(spans, under) if not u]
 print(json.dumps({"code": code,
-                  "spans": [[s[0], spans[s[3]][0] if s[3] >= 0 else None]
-                            for s, u in zip(spans, under) if not u]}))
+                  "spans": [[s[0], spans[s[3]][0] if s[3] >= 0 else None] for s in kept],
+                  "calls": collections.Counter(s[0] for s in kept),
+                  "counts": tracer.counts}))
 """
+
+
+def _traced(argv):
+    path = os.pathsep.join(os.path.join(ROOT, sub) for sub in ("src", "bench"))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PEZZO_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", _TRACED_TABLE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_traced_complex_table_shows_the_complex_sweep_spans():
     # the complex-sweep bench requires these spans of its traced gw-deg6 run;
     # the table functions are reached only through their TABLES binding
-    path = os.pathsep.join(os.path.join(ROOT, sub) for sub in ("src", "bench"))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("PEZZO_CACHE_DIR", None)
-    proc = subprocess.run([sys.executable, "-c", _TRACED_TABLE],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
+    seen = _traced(["table", "gw-deg6", "--max-sum", "4"])
     assert seen["code"] == 0
     names = {name for name, _ in seen["spans"]}
     assert {"tables", "combine.gw_threefold", "lattice.fiber", "gw.gw_surface",
             "store.init"} <= names
     assert ["lattice.fiber", "combine.gw_threefold"] in seen["spans"]
+
+
+# the traced calls of each layer, outside the fixture load, as the bench
+# counts them (gw.gw_surface.calls, lattice.fiber.calls, ...): a call moved
+# below a traced function, or one more made through it, changes them
+TRACED_CALLS = {
+    "table gw-deg6 --max-sum 4": (
+        {"combine.gw_threefold": 2, "gw.gw_surface": 4, "lattice.fiber": 4,
+         "store.init": 1, "tables": 1}, {}),
+    "w3 --family deg7 --class 7,2": (
+        {"combine.w_threefold": 1, "floor.enumerate_diagrams": 2, "floor.fd_count": 2,
+         "gw.gw_surface": 6, "store.get_or_compute": 2, "store.init": 1},
+        {"floor.diagrams": 51, "store.get_or_compute.misses": 2}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_CALLS))
+def test_traced_call_counts_are_pinned(command):
+    seen = _traced(command.split())
+    assert seen["code"] == 0
+    assert (seen["calls"], seen["counts"]) == TRACED_CALLS[command]
 
 
 def test_make_pins_rebuilds_the_pins(tmp_path):

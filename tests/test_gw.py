@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from golden import TABLE2
 from oracles import gw_blowup_oracle, gw_p2
+from pezzo import gw
 from pezzo.errors import DegeneratePolygonError, DomainError
 from pezzo.floor import fd_count_real_l0, polygon_of
 from pezzo.gw import gw_blowup_p2, gw_surface
@@ -59,6 +60,34 @@ def test_blowup_exceptional_and_degenerate():
     assert gw_blowup_p2(0, -2, 0, 0) == 0
 
 
+def test_vanishing_class_is_answered_by_the_memo(monkeypatch):
+    # the first ask runs the zero tests once and stores the 0, the second
+    # is one lookup, as for a nonzero count
+    calls = []
+
+    def spy(*key):
+        calls.append(key)
+        return reduce(*key)
+
+    reduce = gw._reduce
+    for key in ((5, 6, 0, 0), (4, 2, 2, 5), (0, 0, 0, 0)):
+        monkeypatch.delitem(gw._BLOWUP_MEMO, key, raising=False)
+    monkeypatch.setattr(gw, "_reduce", spy)
+    for key in ((5, 6, 0, 0), (4, 2, 2, 5), (0, 0, 0, 0)):
+        calls.clear()
+        assert gw_blowup_p2(*key) == 0 and gw_blowup_p2(*key) == 0
+        assert calls == [key]
+    calls.clear()
+    assert gw_surface("p2x1", [5, 6]) == 0 and calls == []
+
+
+def test_blowup_rejects_non_integral_entries():
+    assert gw_blowup_p2(True, 0, 0, 0) == gw_blowup_p2(1) == 1
+    for bad in ((2.9,), (3, 1.5), (4, 2, 2, 2.0), ("3",)):
+        with pytest.raises(DomainError, match=r"^p2x3: class .* is not a vector of integers$"):
+            gw_blowup_p2(*bad)
+
+
 def test_blowup_vanishing_rule_exact():
     # a pair of multiplicities exceeding the degree kills the count, except
     # for the three line classes through two of the points
@@ -96,7 +125,7 @@ def test_blowup_recursion_stays_shallow():
 
 def test_blowup_half_left_out_of_the_fill():
     # in a fresh process, one half of a splitting of (9; 3, 3, 3) is not in
-    # the memo when _gw_blowup reaches it, so it is counted through _count
+    # the memo when _gw_blowup reaches it, so it is counted through _blowup
     code = "from pezzo.gw import gw_blowup_p2\nprint(gw_blowup_p2(9, 3, 3, 3))"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from pezzo.errors import (
     RankMismatchError,
     UnsupportedLatticeError,
 )
-from pezzo.gw import gw_surface
+from pezzo.gw import canonical_class, gw_surface
 from pezzo.lattice import (
     DEG6,
     DEG6T,
@@ -18,7 +19,9 @@ from pezzo.lattice import (
     FAMILIES,
     SURFACES,
     Q,
+    QX1,
     QX2,
+    SurfaceLattice,
     ThreefoldFamily,
     constraint_count,
     cremona,
@@ -32,6 +35,7 @@ from pezzo.lattice import (
     quadric_to_plane,
     singular_fiber_count,
 )
+from pezzo.store import InvariantKey
 
 
 # The reference forms, written out: Gram matrices in the stored basis
@@ -87,6 +91,51 @@ def test_pair_symmetric_and_rank_checked():
         pair(Q, (1, 0, 0), (0, 1))
 
 
+# each public entry that checks its class and hands it on to a kernel:
+# (call, a class it accepts, the error of that class less its last entry)
+_RANK = "{}: expected rank {}, got vector of length {}"
+CHECKED_ENTRIES = {
+    "pair-first": (lambda d: pair(QX2, d, (1, 2, 0, 1)), (3, 3, 1, 2),
+                   RankMismatchError, _RANK.format("qx2", 4, 3)),
+    "pair-second": (lambda d: pair(Q, (1, 0), d), (2, 3), RankMismatchError,
+                    _RANK.format("q", 2, 1)),
+    "monodromy": (lambda d: monodromy(QX1, d), (3, 1, 2), RankMismatchError,
+                  _RANK.format("qx1", 3, 2)),
+    "quadric_coords": (lambda d: quadric_coords(QX1, d), (3, 2, 1), RankMismatchError,
+                       _RANK.format("qx1", 3, 2)),
+    "quadric_to_plane": (quadric_to_plane, (3, 3, 1, 2), RankMismatchError,
+                         _RANK.format("qx2", 4, 3)),
+    "canonical_class-q": (lambda d: canonical_class(QX2, d), (3, 3, 2, 1), RankMismatchError,
+                          _RANK.format("qx2", 4, 3)),
+    "canonical_class-p2": (lambda d: canonical_class(SURFACES["p2x3"], d), (4, 1, 2, 0),
+                           RankMismatchError, _RANK.format("p2x3", 4, 3)),
+    "gw_surface-qx2": (lambda d: gw_surface("qx2", d), (3, 3, 1, 2), RankMismatchError,
+                       _RANK.format("qx2", 4, 3)),
+    "gw_surface-qx1": (lambda d: gw_surface(QX1, d), (3, 2, 1), RankMismatchError,
+                       _RANK.format("qx1", 3, 2)),
+    "gw_surface-p2x2": (lambda d: gw_surface("p2x2", d), (4, 2, 1), RankMismatchError,
+                        _RANK.format("p2x2", 3, 2)),
+    "InvariantKey-W": (lambda d: InvariantKey("W", "qx2", d, 1), (3, 3, 2, 1), DomainError,
+                       "space qx2: class [3, 3, 2] has length 3, want 4"),
+    "InvariantKey-GW": (lambda d: InvariantKey("GW", "p2x3", d), (4, 1, 2, 0), DomainError,
+                        "space p2x3: class [4, 1, 2] has length 3, want 4"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CHECKED_ENTRIES))
+def test_public_entries_check_their_class(entry):
+    call, cls, error, text = CHECKED_ENTRIES[entry]
+    # a list counts as its tuple, and a wrong length raises the error it always did
+    assert call(list(cls)) == call(cls)
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(list(cls[:-1]))
+    # an entry that is not an integer is an error, not truncated
+    with pytest.raises(DomainError, match="not a vector of integers"):
+        call((*cls[:-1], cls[-1] + 0.9))
+    with pytest.raises(DomainError, match="not a vector of integers"):
+        call((*cls[:-1], str(cls[-1])))
+
+
 def test_lattice_degrees_and_cycles():
     for surface in SURFACES.values():
         base = 9 if surface.side == "p2" else 8
@@ -129,6 +178,15 @@ def test_monodromy_examples():
     assert monodromy(QX2, (3, 3, 1, 2)) == (3, 3, 2, 1)
     with pytest.raises(UnsupportedLatticeError):
         monodromy(SURFACES["p2"], (3,))
+    # the order of the checks: the cycle first, the class after it
+    with pytest.raises(UnsupportedLatticeError):
+        monodromy(SURFACES["p2"], (3, 1))
+    # a quadric-side lattice built without a cycle has no canonical class
+    bare = SurfaceLattice("bare", 2, "q")
+    with pytest.raises(UnsupportedLatticeError, match="^bare carries no vanishing cycle$"):
+        canonical_class(bare, (2, 1))
+    with pytest.raises(RankMismatchError):
+        canonical_class(bare, (2,))
 
 
 def test_monodromy_involution_and_invariants():

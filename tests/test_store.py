@@ -42,6 +42,27 @@ def test_key_validation():
         InvariantKey("W", "what", (1,))
 
 
+def test_non_integral_entries_are_an_error(store):
+    # int() would truncate each of these to another class's key or query
+    for kind, space, cls, pairs in (("W", "p2", (3.9,), 0), ("GW", "p2x3", (4, 1, 2, 0.5), 0),
+                                    ("W", "qx2t", (3, "1", 2), 0), ("W", "deg6", (3, 3, 2.0), 0)):
+        with pytest.raises(DomainError,
+                           match=rf"^space {space}: class .* is not a vector of integers$"):
+            InvariantKey(kind, space, cls, pairs)
+    for kind, space, cls, pairs in (("W", "p2", (3,), 0.5), ("GW", "q", (2, 3), 0.0)):
+        with pytest.raises(DomainError, match=rf"^space {space}: pairs {pairs} is not an integer$"):
+            InvariantKey(kind, space, cls, pairs)
+    with pytest.raises(DomainError, match=r"^deg7: class \(3\.99, 1\) is not a vector of integers$"):
+        WelschingerQuery("deg7", (3.99, 1), 0)
+    with pytest.raises(DomainError, match="^space deg7: pairs 1.5 is not an integer$"):
+        WelschingerQuery("deg7", (3, 1), 1.5)
+    with pytest.raises(DomainError, match=r"^p2: class \(2\.9,\) is not a vector of integers$"):
+        gw_surface("p2", (2.9,))
+    # an int-like entry is its int: the key and the count are the integer's
+    assert InvariantKey("W", "p2", (True,), False) == InvariantKey("W", "p2", (1,), 0)
+    assert store.get_or_compute(InvariantKey("W", "p2", [3], 0)) == 8
+
+
 def test_canonical_monodromy():
     key1 = InvariantKey("W", "qx2", (3, 3, 1, 2), 0)
     key2 = InvariantKey("W", "qx2", (3, 3, 2, 1), 0)
@@ -301,13 +322,13 @@ def test_failed_write_through_the_held_handle(tmp_path, monkeypatch, capsys, chu
     # second is neither there nor in the store, and the handle is closed
     # q has no bundled fixture, so the CLI's store keeps these rows too
     csv = _write(tmp_path / "rows.csv", "space,c1,c2,l,value\nq,2,3,1,24\nq,1,4,1,1\nq,3,3,1,100\n")
-    handles = []
+    handles, fail_row = [], [2]
 
     def held_open(path, mode="r", *args, **kwargs):
         fh = open(path, mode, *args, **kwargs)
         if mode != "ab":
             return fh
-        handles.append(_HeldHandle(fh, chunk, fail_row=2))
+        handles.append(_HeldHandle(fh, chunk, fail_row=fail_row[0]))
         return handles[-1]
 
     monkeypatch.setattr(store_mod, "open", held_open, raising=False)
@@ -326,6 +347,16 @@ def test_failed_write_through_the_held_handle(tmp_path, monkeypatch, capsys, chu
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert (tmp_path / "cli" / "q.store").read_bytes() == b"W,2,3,1,24\n"
     assert len(handles) == 2 and handles[1].fh.closed
+    # get_or_compute opens the file once per row it keeps, through the same
+    # writer: the row goes in whole, and one whose write fails is not kept
+    assert store.get_or_compute(InvariantKey("GW", "q", (3, 2))) == 96
+    assert len(handles) == 3 and handles[2].fh.closed
+    fail_row[0] = 1
+    with pytest.raises(OSError, match="No space left"):
+        store.get_or_compute(InvariantKey("GW", "q", (3, 3)))
+    assert store.lookup(InvariantKey("GW", "q", (3, 3))) is None
+    assert len(handles) == 4 and handles[3].fh.closed
+    assert (cache / "q.store").read_bytes() == b"W,2,3,1,24\nGW,2,3,0,96\n"
 
 
 def test_ingest_opens_only_its_csv_and_its_space_file(tmp_path, monkeypatch, capsys):
